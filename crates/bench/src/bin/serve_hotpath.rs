@@ -28,7 +28,7 @@
 use lightmirm_core::bundle::{BundleMetadata, ModelBundle};
 use lightmirm_core::lr::LrModel;
 use lightmirm_core::trainers::TrainedModel;
-use lightmirm_serve::{EngineConfig, ScoringEngine};
+use lightmirm_serve::{Admission, EngineConfig, ScoringEngine, SubmitOptions};
 use loansim::{generate, GeneratorConfig};
 use serde_json::json;
 use std::sync::Arc;
@@ -117,7 +117,16 @@ fn run_config(
                         features.extend_from_slice(frame.row(k));
                         env_ids.push(frame.province[k]);
                     }
-                    pending.push(engine.submit(features, env_ids).expect("accepted"));
+                    pending.push(
+                        engine
+                            .submit(
+                                features,
+                                env_ids,
+                                SubmitOptions::default(),
+                                Admission::Block,
+                            )
+                            .expect("accepted"),
+                    );
                     start += submitters * chunk;
                 }
                 for p in pending {

@@ -1,7 +1,7 @@
 //! Subcommand implementations, written as functions over parsed args so
 //! unit tests drive them without spawning processes.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use lightmirm_core::bundle::DriftBaseline;
 use lightmirm_core::obs;
@@ -14,9 +14,9 @@ use lightmirm_serve::loadgen::{
     replay as replay_trace, synthesize_trace, TraceConfig, TracePattern,
 };
 use lightmirm_serve::{
-    AdaptConfig, EngineConfig, EngineStats, FeedConfig, LabelFeed, MonitorConfig, Priority,
-    PromotionController, ScoreError, ScoringEngine, ShardConfig, ShardedEngine, SubmitError,
-    SubmitOptions,
+    AdaptConfig, DriftReport, EngineConfig, EngineStats, FeedConfig, LabelFeed, MonitorConfig,
+    PendingScores, Priority, PromotionController, ReloadError, ScoreError, ShardConfig,
+    ShardedEngine, SubmitError, SubmitOptions,
 };
 use loansim::{generate, temporal_split, GeneratorConfig, LoanFrame, ProvinceCatalog, Schema};
 
@@ -279,14 +279,33 @@ fn cmd_train(args: &ParsedArgs, out: &mut dyn std::io::Write) -> Result<(), CliE
 
 /// Parse the common engine flags (`--batch` / `--workers` /
 /// `--deadline-ms` / `--shed-watermark` / `--max-attempts` /
-/// `--priority`) into an [`EngineConfig`] plus per-request submit
-/// options, shared by the single-engine and sharded front ends.
-fn engine_config_from_flags(args: &ParsedArgs) -> Result<(EngineConfig, SubmitOptions), CliError> {
+/// `--priority`, plus `--shards` for commands that take it) into the
+/// sharded front end's [`ShardConfig`] and per-request submit options.
+/// `default_shards` is `None` for commands without a `--shards` flag;
+/// they run one shard. A zero or out-of-range value is a data error
+/// naming its flag.
+fn engine_config_from_flags(
+    args: &ParsedArgs,
+    default_shards: Option<usize>,
+) -> Result<(ShardConfig, SubmitOptions), CliError> {
     let defaults = EngineConfig::default();
     let max_batch = args.get_or("batch", defaults.max_batch)?;
     let workers = args.get_or("workers", defaults.workers)?;
+    let shards = match default_shards {
+        Some(default) => args.get_or("shards", default)?,
+        None => 1,
+    };
     let shed_watermark = args.get_or("shed-watermark", defaults.shed_watermark)?;
     let max_attempts = args.get_or("max-attempts", defaults.max_attempts)?;
+    for (flag, value) in [
+        ("batch", max_batch),
+        ("workers", workers),
+        ("shards", shards),
+    ] {
+        if value == 0 {
+            return Err(CliError::Data(format!("--{flag} must be positive")));
+        }
+    }
     if !(shed_watermark > 0.0 && shed_watermark <= 1.0) {
         return Err(CliError::Data(format!(
             "--shed-watermark {shed_watermark} must be in (0, 1]"
@@ -318,7 +337,7 @@ fn engine_config_from_flags(args: &ParsedArgs) -> Result<(EngineConfig, SubmitOp
         || args.optional("journal-out").is_some()
         || args.optional("slo").is_some()
         || args.command == "ops-report";
-    let cfg = EngineConfig {
+    let engine = EngineConfig {
         max_batch,
         workers,
         shed_watermark,
@@ -332,73 +351,185 @@ fn engine_config_from_flags(args: &ParsedArgs) -> Result<(EngineConfig, SubmitOp
         monitor: Some(MonitorConfig::default()),
         ..defaults
     };
+    let cfg = ShardConfig {
+        shards,
+        engine,
+        ..ShardConfig::default()
+    };
     Ok((cfg, opts))
 }
 
-/// Build an engine plus per-request submit options from the common
-/// engine flags.
-fn engine_from_flags(
-    args: &ParsedArgs,
-    bundle: ModelBundle,
-) -> Result<(ScoringEngine, SubmitOptions), CliError> {
-    let (cfg, opts) = engine_config_from_flags(args)?;
-    Ok((ScoringEngine::new(bundle, cfg), opts))
-}
-
-/// Build the sharded front end from the same engine flags plus
-/// `--shards N`.
+/// Build the sharded front end, the one engine every serving command
+/// drives, from the common engine flags (see
+/// [`engine_config_from_flags`]).
 fn sharded_from_flags(
     args: &ParsedArgs,
     bundle: &ModelBundle,
-    shards: usize,
+    default_shards: Option<usize>,
 ) -> Result<(ShardedEngine, SubmitOptions), CliError> {
-    let (engine, opts) = engine_config_from_flags(args)?;
-    let sharded = ShardedEngine::new(
-        bundle,
-        &ShardConfig {
-            shards,
-            engine,
-            ..ShardConfig::default()
-        },
-    );
-    Ok((sharded, opts))
+    let (cfg, opts) = engine_config_from_flags(args, default_shards)?;
+    Ok((ShardedEngine::new(bundle, &cfg), opts))
 }
 
-/// Honor `--drift-out p.json`: force a final PSI check on every
-/// environment with enough window samples and write the sentinel's
-/// per-environment report (score drift plus per-signal breakdown) as
-/// JSON. Bundles without a baseline write an empty report.
+/// What a serving command writes depends on its shard count only here.
+/// One shard keeps the historical single-engine shapes: an `engine`
+/// stats object, a top-level `{"envs": …}` drift report,
+/// `--adapt-out`/`--adapt-log` paths without a suffix, `engine:` and
+/// `adaptation:` console lines, and the plain reload messages. Several
+/// shards report per shard: `shards` plus `shard_engines`, a
+/// `{"shards": […]}` drift report, `.shard<i>` path suffixes, and
+/// `shard i` labels.
+#[derive(Debug, Clone, Copy)]
+struct OutputShape {
+    shards: usize,
+}
+
+impl OutputShape {
+    fn of(sharded: &ShardedEngine) -> Self {
+        OutputShape {
+            shards: sharded.shards(),
+        }
+    }
+
+    fn single(self) -> bool {
+        self.shards == 1
+    }
+
+    /// Console label of shard `i`'s engine summary.
+    fn engine_label(self, i: usize) -> String {
+        if self.single() {
+            "engine".into()
+        } else {
+            format!("shard {i}")
+        }
+    }
+
+    /// Infix of shard `i`'s `adaptation…:` console line.
+    fn adapt_label(self, i: usize) -> String {
+        if self.single() {
+            String::new()
+        } else {
+            format!(" (shard {i})")
+        }
+    }
+
+    /// Shard `i`'s copy of a per-shard output path, so shards never
+    /// clobber each other's files.
+    fn shard_path(self, path: &Path, i: usize) -> PathBuf {
+        if self.single() {
+            path.to_path_buf()
+        } else {
+            path.with_extension(format!("shard{i}"))
+        }
+    }
+
+    /// Per-shard JSON blocks as one value: the lone block, or an array.
+    fn per_shard(self, mut blocks: Vec<serde_json::Value>) -> serde_json::Value {
+        if self.single() {
+            blocks.pop().expect("one block per shard")
+        } else {
+            serde_json::Value::Array(blocks)
+        }
+    }
+
+    /// The replay report's engine-stats fields.
+    fn stats_fields(self, stats: &[EngineStats]) -> Vec<(&'static str, serde_json::Value)> {
+        if self.single() {
+            vec![("engine", serde_json::json!(&stats[0]))]
+        } else {
+            vec![
+                ("shards", serde_json::json!(self.shards)),
+                ("shard_engines", serde_json::json!(stats)),
+            ]
+        }
+    }
+
+    /// The console line for a mid-stream reload's outcome.
+    fn reload_message(self, path: &str, outcome: Result<(), (usize, ReloadError)>) -> String {
+        match outcome {
+            Ok(()) if self.single() => format!("hot-reloaded bundle from {path}"),
+            Ok(()) => format!(
+                "hot-reloaded bundle from {path} on all {} shards",
+                self.shards
+            ),
+            Err((_, e)) if self.single() => {
+                format!("reload of {path} rejected ({e}); incumbent keeps serving")
+            }
+            Err((i, e)) => format!(
+                "reload of {path} rejected by shard {i} ({e}); shards {i}.. keep their incumbent"
+            ),
+        }
+    }
+
+    /// The `--drift-out` file body and its console line, from each
+    /// shard's report (`None` where the bundle carries no baseline).
+    fn drift_report(self, reports: &[Option<DriftReport>], path: &str) -> (String, String) {
+        if self.single() {
+            return match &reports[0] {
+                Some(report) => (
+                    serde_json::to_string_pretty(report).expect("drift report serializes"),
+                    format!("drift report ({} provinces) at {path}", report.envs.len()),
+                ),
+                None => (
+                    "{\"envs\":[]}\n".into(),
+                    format!("bundle carries no drift baseline; empty drift report at {path}"),
+                ),
+            };
+        }
+        let reports: Vec<serde_json::Value> = reports
+            .iter()
+            .map(|report| match report {
+                Some(report) => serde_json::to_value(report),
+                None => serde_json::json!({ "envs": Vec::<serde_json::Value>::new() }),
+            })
+            .collect();
+        (
+            serde_json::to_string_pretty(&serde_json::json!({ "shards": reports }))
+                .expect("drift report serializes"),
+            format!("per-shard drift report ({} shards) at {path}", self.shards),
+        )
+    }
+}
+
+/// Honor `--drift-out p.json`: force a final PSI check on every shard's
+/// sentinel with enough window samples and write the per-environment
+/// reports (score drift plus per-signal breakdown) as JSON. Each shard
+/// reports only the slice routed to it.
 fn write_drift_report(
     args: &ParsedArgs,
-    engine: &ScoringEngine,
+    sharded: &ShardedEngine,
     out: &mut dyn std::io::Write,
 ) -> Result<(), CliError> {
     let Some(path) = args.optional("drift-out") else {
         return Ok(());
     };
-    match engine.drift_monitor() {
-        Some(monitor) => {
-            monitor.check_now();
-            let report = monitor.drift_report();
-            std::fs::write(
-                Path::new(path),
-                serde_json::to_string_pretty(&report).expect("drift report serializes"),
-            )?;
-            writeln!(
-                out,
-                "drift report ({} provinces) at {path}",
-                report.envs.len()
-            )?;
-        }
-        None => {
-            std::fs::write(Path::new(path), "{\"envs\":[]}\n")?;
-            writeln!(
-                out,
-                "bundle carries no drift baseline; empty drift report at {path}"
-            )?;
-        }
-    }
+    let reports: Vec<Option<DriftReport>> = (0..sharded.shards())
+        .map(|i| {
+            sharded.shard(i).drift_monitor().map(|monitor| {
+                monitor.check_now();
+                monitor.drift_report()
+            })
+        })
+        .collect();
+    let (text, message) = OutputShape::of(sharded).drift_report(&reports, path);
+    std::fs::write(Path::new(path), text)?;
+    writeln!(out, "{message}")?;
     Ok(())
+}
+
+/// Fold every shard's `serve_*` telemetry into the global registry, so a
+/// trailing `--metrics-out` snapshot carries it, honor `--drift-out`,
+/// then drain the front end and return its per-shard stats.
+fn drain_engine(
+    args: &ParsedArgs,
+    sharded: ShardedEngine,
+    out: &mut dyn std::io::Write,
+) -> Result<Vec<EngineStats>, CliError> {
+    for i in 0..sharded.shards() {
+        obs::registry().merge_snapshot(&sharded.shard(i).metrics_snapshot());
+    }
+    write_drift_report(args, &sharded, out)?;
+    Ok(sharded.shutdown())
 }
 
 /// Slice one `n`-row request starting at `r` out of `frame`.
@@ -412,154 +543,20 @@ fn chunk_rows(frame: &LoanFrame, nf: usize, r: usize, n: usize) -> (Vec<f32>, Ve
     (features, env_ids)
 }
 
-/// Push `frame` through `engine` as requests of `chunk` rows and return
-/// the scores in row order. Blocking submits provide the backpressure:
-/// the whole frame never sits in memory twice. Degraded-mode outcomes
-/// recover — a [`SubmitError::Shed`] low-priority request is resubmitted
-/// at [`Priority::Normal`], and a request answering
-/// [`ScoreError::DeadlineExceeded`] is rescored without a deadline (the
-/// replay must stay complete; the engine's shed/expired counters still
-/// record the pressure). Hard failures (poisoning, quarantine, engine
-/// death) surface as [`CliError::Data`] instead of panicking.
-fn score_through_engine(
-    engine: &ScoringEngine,
-    frame: &LoanFrame,
-    chunk: usize,
-    opts: SubmitOptions,
-) -> Result<Vec<f64>, CliError> {
-    let nf = engine.bundle().n_features();
-    let chunk = chunk.max(1).min(engine.config().queue_capacity);
-    let mut pending = Vec::with_capacity(frame.len().div_ceil(chunk));
-    let mut r = 0usize;
-    while r < frame.len() {
-        let n = chunk.min(frame.len() - r);
-        let (features, env_ids) = chunk_rows(frame, nf, r, n);
-        let submitted = match engine.submit_with(features, env_ids, opts) {
-            Err(SubmitError::Shed) => {
-                // Shed at the watermark: this driver must deliver every
-                // row, so escalate the chunk to Normal and try again.
-                let (features, env_ids) = chunk_rows(frame, nf, r, n);
-                let normal = SubmitOptions {
-                    priority: Priority::Normal,
-                    ..opts
-                };
-                engine.submit_with(features, env_ids, normal)
-            }
-            other => other,
-        };
-        pending.push((
-            r,
-            n,
-            submitted.map_err(|e| CliError::Data(format!("submit of rows {r}..{}: {e}", r + n)))?,
-        ));
-        r += n;
-    }
-    let mut scores = Vec::with_capacity(frame.len());
-    for (start, n, p) in pending {
-        match p.wait() {
-            Ok(got) => scores.extend(got),
-            Err(ScoreError::DeadlineExceeded) => {
-                // The deadline lapsed while queued; rescore this chunk
-                // without one so the output stays complete. Waiting
-                // in submit order keeps `scores` row-aligned.
-                let (features, env_ids) = chunk_rows(frame, nf, start, n);
-                let patient = SubmitOptions {
-                    deadline: None,
-                    priority: Priority::Normal,
-                    request_id: None,
-                };
-                let got = engine
-                    .submit_with(features, env_ids, patient)
-                    .map_err(|e| CliError::Data(format!("deadline retry of row {start}: {e}")))?
-                    .wait()
-                    .map_err(|e| CliError::Data(format!("deadline retry of row {start}: {e}")))?;
-                scores.extend(got);
-            }
-            Err(e) => return Err(CliError::Data(format!("request at row {start}: {e}"))),
-        }
-    }
-    Ok(scores)
-}
-
-/// The `--adapt` serving loop: score the stream chunk by chunk, feed each
-/// answered chunk's now-observed labels into the [`LabelFeed`], and step
-/// the [`PromotionController`] after every chunk — so a Major drift
-/// escalation mid-stream can trigger a warm retrain, probe + canary
-/// validation, and hot promotion (or rollback) while the replay is still
-/// running. Unlike [`score_through_engine`], the stream cannot be fully
-/// pre-submitted: adaptation reacts to labels that only "arrive" once a
-/// chunk has been served.
-fn parse_adapt_flags(args: &ParsedArgs) -> Result<(AdaptConfig, FeedConfig, usize), CliError> {
-    let d = AdaptConfig::default();
-    let cfg = AdaptConfig {
-        min_rows: args.get_or("adapt-min-rows", d.min_rows)?,
-        train: TrainConfig {
-            epochs: args.get_or("adapt-epochs", d.train.epochs)?,
-            seed: args.get_or("seed", d.train.seed)?,
-            ..d.train.clone()
-        },
-        guard_min_auc_gain: args.get_or("adapt-guard", d.guard_min_auc_gain)?,
-        cooldown_steps: args.get_or("adapt-cooldown", d.cooldown_steps)?,
-        save_path: args.optional("adapt-out").map(std::path::PathBuf::from),
-        ..d
-    };
-    let fd = FeedConfig::default();
-    let feed_cfg = FeedConfig {
-        max_rows_per_env: args.get_or("feed-rows", fd.max_rows_per_env)?,
-        max_bytes: args.get_or("feed-bytes", fd.max_bytes)?,
-    };
-    let step_every = args.get_or("adapt-every", 1usize)?.max(1);
-    Ok((cfg, feed_cfg, step_every))
-}
-
-fn serve_adaptively(
-    args: &ParsedArgs,
-    engine: &ScoringEngine,
-    stream: &LoanFrame,
-    chunk: usize,
-    opts: SubmitOptions,
-) -> Result<(Vec<f64>, PromotionController), CliError> {
-    let (cfg, feed_cfg, step_every) = parse_adapt_flags(args)?;
-    let feed = LabelFeed::new(engine.bundle().n_features(), feed_cfg);
-    let mut controller = PromotionController::new(engine.bundle(), cfg);
-
-    let chunk = chunk.max(1).min(engine.config().queue_capacity);
-    let mut scores = Vec::with_capacity(stream.len());
-    let mut r = 0usize;
-    let mut chunks = 0usize;
-    while r < stream.len() {
-        let n = chunk.min(stream.len() - r);
-        let rows: Vec<usize> = (r..r + n).collect();
-        scores.extend(score_through_engine(
-            engine,
-            &stream.select(&rows),
-            chunk,
-            opts,
-        )?);
-        for k in r..r + n {
-            feed.push(stream.province[k], stream.row(k), stream.label[k]);
-        }
-        chunks += 1;
-        if chunks.is_multiple_of(step_every) {
-            controller.step(engine, &feed);
-        }
-        r += n;
-    }
-    Ok((scores, controller))
-}
-
-/// Route one chunk through the sharded front end by its first row's
-/// province, escalating a shed low-priority submit to Normal exactly
-/// like [`score_through_engine`]. Returns the shard that accepted the
-/// chunk alongside the pending scores.
-fn submit_chunk_sharded(
+/// Route the `n`-row chunk at row `r` through the front end by its first
+/// row's province. A [`SubmitError::Shed`] low-priority chunk is
+/// resubmitted at [`Priority::Normal`]: the replay must deliver every
+/// row, and the engine's shed counter still records the pressure.
+/// Returns the shard that accepted the chunk alongside the pending
+/// scores.
+fn submit_chunk(
     sharded: &ShardedEngine,
     frame: &LoanFrame,
     nf: usize,
     r: usize,
     n: usize,
     opts: SubmitOptions,
-) -> Result<(usize, lightmirm_serve::PendingScores), CliError> {
+) -> Result<(usize, PendingScores), CliError> {
     let key = frame.province[r];
     let (features, env_ids) = chunk_rows(frame, nf, r, n);
     let submitted = match sharded.submit(key, features, env_ids, opts) {
@@ -576,11 +573,42 @@ fn submit_chunk_sharded(
     submitted.map_err(|e| CliError::Data(format!("submit of rows {r}..{}: {e}", r + n)))
 }
 
-/// [`score_through_engine`] over the sharded front end. Chunks are
-/// pre-submitted for pipelining and routed by their first row's
-/// province; since every shard serves the same bundle, the scores are
-/// bit-identical to the single-engine path for any shard count.
-fn score_through_sharded(
+/// Wait for the scores of the `n`-row chunk at row `r`. A chunk whose
+/// deadline lapsed while queued ([`ScoreError::DeadlineExceeded`]) is
+/// rescored without one, so the output stays complete; hard failures
+/// (poisoning, quarantine, engine death) surface as [`CliError::Data`]
+/// instead of panicking.
+fn wait_chunk(
+    sharded: &ShardedEngine,
+    frame: &LoanFrame,
+    nf: usize,
+    r: usize,
+    n: usize,
+    pending: PendingScores,
+) -> Result<Vec<f64>, CliError> {
+    match pending.wait() {
+        Ok(got) => Ok(got),
+        Err(ScoreError::DeadlineExceeded) => {
+            let patient = SubmitOptions {
+                deadline: None,
+                priority: Priority::Normal,
+                request_id: None,
+            };
+            let (_, retry) = submit_chunk(sharded, frame, nf, r, n, patient)?;
+            retry
+                .wait()
+                .map_err(|e| CliError::Data(format!("deadline retry of row {r}: {e}")))
+        }
+        Err(e) => Err(CliError::Data(format!("request at row {r}: {e}"))),
+    }
+}
+
+/// Push `frame` through the front end as requests of `chunk` rows and
+/// return the scores in row order. Chunks are pre-submitted for
+/// pipelining; blocking submits provide the backpressure, so the whole
+/// frame never sits in memory twice. Every shard serves the same
+/// bundle, so the scores are bit-identical for any shard count.
+fn score_through(
     sharded: &ShardedEngine,
     frame: &LoanFrame,
     chunk: usize,
@@ -592,39 +620,55 @@ fn score_through_sharded(
     let mut r = 0usize;
     while r < frame.len() {
         let n = chunk.min(frame.len() - r);
-        let (_, p) = submit_chunk_sharded(sharded, frame, nf, r, n, opts)?;
+        let (_, p) = submit_chunk(sharded, frame, nf, r, n, opts)?;
         pending.push((r, n, p));
         r += n;
     }
     let mut scores = Vec::with_capacity(frame.len());
     for (start, n, p) in pending {
-        match p.wait() {
-            Ok(got) => scores.extend(got),
-            Err(ScoreError::DeadlineExceeded) => {
-                let patient = SubmitOptions {
-                    deadline: None,
-                    priority: Priority::Normal,
-                    request_id: None,
-                };
-                let (_, retry) = submit_chunk_sharded(sharded, frame, nf, start, n, patient)?;
-                let got = retry
-                    .wait()
-                    .map_err(|e| CliError::Data(format!("deadline retry of row {start}: {e}")))?;
-                scores.extend(got);
-            }
-            Err(e) => return Err(CliError::Data(format!("request at row {start}: {e}"))),
-        }
+        scores.extend(wait_chunk(sharded, frame, nf, start, n, p)?);
     }
     Ok(scores)
 }
 
-/// The `--adapt` loop over the sharded front end: every shard owns its
-/// own [`LabelFeed`] and [`PromotionController`], fed only by the
-/// chunks that shard actually served — a drift escalation on one
-/// shard's traffic retrains and promotes on that shard alone, leaving
-/// the other shards' champions untouched. With `--adapt-out p`, shard
-/// `i` persists its promoted bundle to `p.shard<i>`.
-fn serve_adaptively_sharded(
+/// Parse the `--adapt` knobs into the controller and label-feed
+/// configurations plus the controller step cadence in chunks.
+fn parse_adapt_flags(args: &ParsedArgs) -> Result<(AdaptConfig, FeedConfig, usize), CliError> {
+    let d = AdaptConfig::default();
+    let cfg = AdaptConfig {
+        min_rows: args.get_or("adapt-min-rows", d.min_rows)?,
+        train: TrainConfig {
+            epochs: args.get_or("adapt-epochs", d.train.epochs)?,
+            seed: args.get_or("seed", d.train.seed)?,
+            ..d.train.clone()
+        },
+        guard_min_auc_gain: args.get_or("adapt-guard", d.guard_min_auc_gain)?,
+        cooldown_steps: args.get_or("adapt-cooldown", d.cooldown_steps)?,
+        save_path: args.optional("adapt-out").map(PathBuf::from),
+        ..d
+    };
+    let fd = FeedConfig::default();
+    let feed_cfg = FeedConfig {
+        max_rows_per_env: args.get_or("feed-rows", fd.max_rows_per_env)?,
+        max_bytes: args.get_or("feed-bytes", fd.max_bytes)?,
+    };
+    let step_every = args.get_or("adapt-every", 1usize)?.max(1);
+    Ok((cfg, feed_cfg, step_every))
+}
+
+/// The `--adapt` serving loop: score the stream chunk by chunk, feed each
+/// answered chunk's now-observed labels into its shard's [`LabelFeed`],
+/// and step that shard's [`PromotionController`] every `--adapt-every`
+/// chunks — so a Major drift escalation mid-stream can trigger a warm
+/// retrain, probe + canary validation, and hot promotion (or rollback)
+/// while the replay is still running. Unlike [`score_through`], the
+/// stream cannot be pre-submitted: adaptation reacts to labels that only
+/// "arrive" once a chunk has been served. Every shard owns its feed and
+/// controller, fed only by the chunks it served, so a drift on one
+/// shard's traffic retrains and promotes on that shard alone; with
+/// `--adapt-out p`, each controller persists its promoted bundle to its
+/// [`OutputShape::shard_path`] of `p`.
+fn serve_adaptively(
     args: &ParsedArgs,
     sharded: &ShardedEngine,
     stream: &LoanFrame,
@@ -632,18 +676,15 @@ fn serve_adaptively_sharded(
     opts: SubmitOptions,
 ) -> Result<(Vec<f64>, Vec<PromotionController>), CliError> {
     let (cfg, feed_cfg, step_every) = parse_adapt_flags(args)?;
+    let shape = OutputShape::of(sharded);
     let nf = sharded.shard(0).bundle().n_features();
-    let n_shards = sharded.shards();
-    let feeds: Vec<LabelFeed> = (0..n_shards)
+    let feeds: Vec<LabelFeed> = (0..shape.shards)
         .map(|_| LabelFeed::new(nf, feed_cfg.clone()))
         .collect();
-    let mut controllers: Vec<PromotionController> = (0..n_shards)
+    let mut controllers: Vec<PromotionController> = (0..shape.shards)
         .map(|i| {
             let cfg = AdaptConfig {
-                save_path: cfg
-                    .save_path
-                    .as_ref()
-                    .map(|p| p.with_extension(format!("shard{i}"))),
+                save_path: cfg.save_path.as_deref().map(|p| shape.shard_path(p, i)),
                 ..cfg.clone()
             };
             PromotionController::new(sharded.shard(i).bundle(), cfg)
@@ -656,23 +697,8 @@ fn serve_adaptively_sharded(
     let mut chunks = 0usize;
     while r < stream.len() {
         let n = chunk.min(stream.len() - r);
-        let (shard, p) = submit_chunk_sharded(sharded, stream, nf, r, n, opts)?;
-        let got = match p.wait() {
-            Ok(got) => got,
-            Err(ScoreError::DeadlineExceeded) => {
-                let patient = SubmitOptions {
-                    deadline: None,
-                    priority: Priority::Normal,
-                    request_id: None,
-                };
-                let (_, retry) = submit_chunk_sharded(sharded, stream, nf, r, n, patient)?;
-                retry
-                    .wait()
-                    .map_err(|e| CliError::Data(format!("deadline retry of row {r}: {e}")))?
-            }
-            Err(e) => return Err(CliError::Data(format!("request at row {r}: {e}"))),
-        };
-        scores.extend(got);
+        let (shard, p) = submit_chunk(sharded, stream, nf, r, n, opts)?;
+        scores.extend(wait_chunk(sharded, stream, nf, r, n, p)?);
         for k in r..r + n {
             feeds[shard].push(stream.province[k], stream.row(k), stream.label[k]);
         }
@@ -686,10 +712,8 @@ fn serve_adaptively_sharded(
 }
 
 /// Write one controller's adaptation summary (optional event log,
-/// human-readable line) and return its JSON block. `label` is empty for
-/// the single-engine loop and `" (shard i)"` per shard; the event log
-/// path gets a `.shard<i>` extension in sharded mode so logs don't
-/// clobber each other.
+/// human-readable line) and return its JSON block. `label` is the
+/// [`OutputShape::adapt_label`] of the controller's shard.
 fn adapt_summary(
     controller: &PromotionController,
     label: &str,
@@ -729,55 +753,57 @@ fn adapt_summary(
     }))
 }
 
+/// One summary line per shard, labeled by [`OutputShape::engine_label`].
 fn write_engine_summary(
     out: &mut dyn std::io::Write,
-    label: &str,
-    stats: &EngineStats,
+    shape: OutputShape,
+    stats: &[EngineStats],
 ) -> std::io::Result<()> {
-    writeln!(
-        out,
-        "{label}: {} requests, mean batch {:.1} rows, latency p50 {:.1}us p99 {:.1}us \
-         (enqueue-to-reply p50 {:.1}us p99 {:.1}us, score p50 {:.1}us/batch)",
-        stats.requests,
-        stats.batch_rows_mean,
-        stats.latency_p50_ns as f64 / 1_000.0,
-        stats.latency_p99_ns as f64 / 1_000.0,
-        stats.enqueue_to_reply_p50_ns as f64 / 1_000.0,
-        stats.enqueue_to_reply_p99_ns as f64 / 1_000.0,
-        stats.score_p50_ns as f64 / 1_000.0
-    )
+    for (i, stats) in stats.iter().enumerate() {
+        writeln!(
+            out,
+            "{}: {} requests, mean batch {:.1} rows, latency p50 {:.1}us p99 {:.1}us \
+             (enqueue-to-reply p50 {:.1}us p99 {:.1}us, score p50 {:.1}us/batch)",
+            shape.engine_label(i),
+            stats.requests,
+            stats.batch_rows_mean,
+            stats.latency_p50_ns as f64 / 1_000.0,
+            stats.latency_p99_ns as f64 / 1_000.0,
+            stats.enqueue_to_reply_p50_ns as f64 / 1_000.0,
+            stats.enqueue_to_reply_p99_ns as f64 / 1_000.0,
+            stats.score_p50_ns as f64 / 1_000.0
+        )?;
+    }
+    Ok(())
 }
 
 /// `score --model model.json --data world.bin --out scores.csv
 /// [--batch 256] [--workers 2] [--deadline-ms D] [--shed-watermark W]
 /// [--priority low|normal|high] [--metrics-out M] [--trace-out T]
-/// [--drift-out D]` — batch scoring through the micro-batched engine.
-/// Scores are bit-identical for any `--batch`/`--workers` choice;
-/// `--drift-out` writes the drift sentinel's final per-province PSI
-/// report as JSON.
+/// [--drift-out D]` — batch scoring through the micro-batched engine
+/// (the sharded front end with one shard). Scores are bit-identical for
+/// any `--batch`/`--workers` choice; `--drift-out` writes the drift
+/// sentinel's final per-province PSI report as JSON.
 fn cmd_score(args: &ParsedArgs, out: &mut dyn std::io::Write) -> Result<(), CliError> {
     let bundle = load_bundle(args.required("model")?)?;
     let frame = load_frame(args.required("data")?)?;
     let out_path = args.required("out")?;
-    let (engine, opts) = engine_from_flags(args, bundle)?;
-    let scores = score_through_engine(&engine, &frame, engine.config().max_batch, opts)?;
-    // Fold the engine's serve_* telemetry into the global registry so a
-    // trailing `--metrics-out` snapshot carries it.
-    obs::registry().merge_snapshot(&engine.metrics_snapshot());
-    write_drift_report(args, &engine, out)?;
-    let stats = engine.shutdown();
+    let (sharded, opts) = sharded_from_flags(args, &bundle, None)?;
+    let shape = OutputShape::of(&sharded);
+    let scores = score_through(&sharded, &frame, sharded.shard(0).config().max_batch, opts)?;
+    let stats = drain_engine(args, sharded, out)?;
     let mut text = String::from("row,province,score\n");
     for (r, score) in scores.iter().enumerate() {
         text.push_str(&format!("{r},{},{score:.6}\n", frame.province[r]));
     }
     std::fs::write(Path::new(out_path), text)?;
     writeln!(out, "scored {} rows into {out_path}", frame.len())?;
-    write_engine_summary(out, "engine", &stats)?;
+    write_engine_summary(out, shape, &stats)?;
     Ok(())
 }
 
 /// `serve-replay --model model.json --data world.bin --out replay.json
-/// [--batch 256] [--workers 2] [--chunk 1] [--grid 40]
+/// [--batch 256] [--workers 2] [--chunk 1] [--grid 40] [--shards 1]
 /// [--deadline-ms D] [--shed-watermark W] [--reload-model new.json]
 /// [--drift-out D]` —
 /// the Fig. 5 online companion sweep with the companion scored live
@@ -806,12 +832,13 @@ fn cmd_score(args: &ParsedArgs, out: &mut dyn std::io::Write) -> Result<(), CliE
 /// transition log into the unified ops journal as `adapt_event`
 /// records (see `obs::journal`).
 ///
-/// `--shards N` serves the stream through the sharded front end
-/// instead of one engine: chunks route by province, `--reload-model`
+/// The stream runs through the sharded front end with `--shards N`
+/// shards (default 1): chunks route by province, `--reload-model`
 /// pushes to every shard, and `--adapt` runs one controller per shard
-/// (see [`serve_adaptively_sharded`]). Scores stay bit-identical to the
-/// single-engine path. `--loadgen-trace PATTERN` switches to synthetic
-/// trace replay entirely (see [`cmd_loadgen_replay`]).
+/// (see [`serve_adaptively`]). Scores are bit-identical for any shard
+/// count; [`OutputShape`] decides how the report reads at one shard
+/// versus several. `--loadgen-trace PATTERN` switches to synthetic trace
+/// replay entirely (see [`cmd_loadgen_replay`]).
 fn cmd_serve_replay(args: &ParsedArgs, out: &mut dyn std::io::Write) -> Result<(), CliError> {
     // `--loadgen-trace` switches to synthetic-trace replay: no `--data`
     // stream, no Fig. 5 curve — throughput and tail latency instead.
@@ -839,148 +866,54 @@ fn cmd_serve_replay(args: &ParsedArgs, out: &mut dyn std::io::Write) -> Result<(
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite scores"));
     let incumbent_threshold = sorted[(sorted.len() as f64 * 0.70) as usize];
 
-    let shards = args.get_or("shards", 1usize)?;
-    if shards == 0 {
-        return Err(CliError::Data("--shards must be positive".into()));
-    }
-    if args.switch("adapt") && args.optional("reload-model").is_some() {
+    let adapt = args.switch("adapt");
+    let reload_model = args.optional("reload-model");
+    if adapt && reload_model.is_some() {
         return Err(CliError::Data(
             "--adapt and --reload-model are mutually exclusive".into(),
         ));
     }
-    let adapt_log = args.optional("adapt-log").map(Path::new);
 
-    // The companion: the bundle served live through the engine — one
-    // engine by default, or the sharded front end under `--shards N`
-    // (chunks routed by their first row's province; scores are
-    // bit-identical either way since every shard serves the same
-    // bundle).
-    let (companion, adapt_json, stats_list, controllers) = if shards == 1 {
-        let (engine, opts) = engine_from_flags(args, bundle)?;
-        let mut adaptation: Option<PromotionController> = None;
-        let companion = if args.switch("adapt") {
-            let (scores, controller) = serve_adaptively(args, &engine, &stream, chunk, opts)?;
-            adaptation = Some(controller);
-            scores
-        } else {
-            match args.optional("reload-model") {
-                None => score_through_engine(&engine, &stream, chunk, opts)?,
-                Some(reload_path) => {
-                    // Serve the first half, hot-reload mid-stream, serve the rest.
-                    let half = stream.len() / 2;
-                    let first: Vec<usize> = (0..half).collect();
-                    let rest: Vec<usize> = (half..stream.len()).collect();
-                    let mut scores =
-                        score_through_engine(&engine, &stream.select(&first), chunk, opts)?;
-                    let probe_features = stream.row(0).to_vec();
-                    let probe_envs = vec![stream.province[0]];
-                    match ModelBundle::load_from_path(Path::new(reload_path)) {
-                        Ok(candidate) => {
-                            match engine.reload(candidate, &probe_features, &probe_envs) {
-                                Ok(()) => writeln!(out, "hot-reloaded bundle from {reload_path}")?,
-                                Err(e) => writeln!(
-                                    out,
-                                    "reload of {reload_path} rejected ({e}); incumbent keeps serving"
-                                )?,
-                            }
-                        }
-                        Err(e) => writeln!(
-                            out,
-                            "reload of {reload_path} refused ({e}); incumbent keeps serving"
-                        )?,
-                    }
-                    scores.extend(score_through_engine(
-                        &engine,
-                        &stream.select(&rest),
-                        chunk,
-                        opts,
-                    )?);
-                    scores
-                }
-            }
+    // The companion: the bundle served live through the sharded front
+    // end, chunks routed by their first row's province.
+    let (sharded, opts) = sharded_from_flags(args, &bundle, Some(1))?;
+    let shape = OutputShape::of(&sharded);
+    let (companion, controllers) = if adapt {
+        serve_adaptively(args, &sharded, &stream, chunk, opts)?
+    } else if let Some(reload_path) = reload_model {
+        // Serve the first half, hot-reload every shard mid-stream, serve
+        // the rest.
+        let half = stream.len() / 2;
+        let first: Vec<usize> = (0..half).collect();
+        let rest: Vec<usize> = (half..stream.len()).collect();
+        let mut scores = score_through(&sharded, &stream.select(&first), chunk, opts)?;
+        let probe_features = stream.row(0).to_vec();
+        let probe_envs = vec![stream.province[0]];
+        let message = match ModelBundle::load_from_path(Path::new(reload_path)) {
+            Ok(candidate) => shape.reload_message(
+                reload_path,
+                sharded.reload_all(&candidate, &probe_features, &probe_envs),
+            ),
+            Err(e) => format!("reload of {reload_path} refused ({e}); incumbent keeps serving"),
         };
-        // As in `score`: surface serve_* telemetry through `--metrics-out`.
-        obs::registry().merge_snapshot(&engine.metrics_snapshot());
-        write_drift_report(args, &engine, out)?;
-        let stats = engine.shutdown();
-        let adapt_json = match &adaptation {
-            None => None,
-            Some(controller) => Some(adapt_summary(controller, "", adapt_log, out)?),
-        };
-        let controllers: Vec<PromotionController> = adaptation.into_iter().collect();
-        (companion, adapt_json, vec![stats], controllers)
+        writeln!(out, "{message}")?;
+        scores.extend(score_through(&sharded, &stream.select(&rest), chunk, opts)?);
+        (scores, Vec::new())
     } else {
-        let (sharded, opts) = sharded_from_flags(args, &bundle, shards)?;
-        let mut adaptation: Option<Vec<PromotionController>> = None;
-        let companion = if args.switch("adapt") {
-            let (scores, controllers) =
-                serve_adaptively_sharded(args, &sharded, &stream, chunk, opts)?;
-            adaptation = Some(controllers);
-            scores
-        } else {
-            match args.optional("reload-model") {
-                None => score_through_sharded(&sharded, &stream, chunk, opts)?,
-                Some(reload_path) => {
-                    // Same mid-stream hot reload, pushed to every shard.
-                    let half = stream.len() / 2;
-                    let first: Vec<usize> = (0..half).collect();
-                    let rest: Vec<usize> = (half..stream.len()).collect();
-                    let mut scores =
-                        score_through_sharded(&sharded, &stream.select(&first), chunk, opts)?;
-                    let probe_features = stream.row(0).to_vec();
-                    let probe_envs = vec![stream.province[0]];
-                    match ModelBundle::load_from_path(Path::new(reload_path)) {
-                        Ok(candidate) => {
-                            match sharded.reload_all(&candidate, &probe_features, &probe_envs) {
-                                Ok(()) => writeln!(
-                                    out,
-                                    "hot-reloaded bundle from {reload_path} on all {shards} shards"
-                                )?,
-                                Err((i, e)) => writeln!(
-                                    out,
-                                    "reload of {reload_path} rejected by shard {i} ({e}); \
-                                     shards {i}.. keep their incumbent"
-                                )?,
-                            }
-                        }
-                        Err(e) => writeln!(
-                            out,
-                            "reload of {reload_path} refused ({e}); incumbent keeps serving"
-                        )?,
-                    }
-                    scores.extend(score_through_sharded(
-                        &sharded,
-                        &stream.select(&rest),
-                        chunk,
-                        opts,
-                    )?);
-                    scores
-                }
-            }
-        };
-        for i in 0..sharded.shards() {
-            obs::registry().merge_snapshot(&sharded.shard(i).metrics_snapshot());
-        }
-        write_drift_report_sharded(args, &sharded, out)?;
-        let stats = sharded.shutdown();
-        let adapt_json = match &adaptation {
-            None => None,
-            Some(controllers) => {
-                let mut blocks = Vec::with_capacity(controllers.len());
-                for (i, controller) in controllers.iter().enumerate() {
-                    let log = adapt_log.map(|p| p.with_extension(format!("shard{i}")));
-                    blocks.push(adapt_summary(
-                        controller,
-                        &format!(" (shard {i})"),
-                        log.as_deref(),
-                        out,
-                    )?);
-                }
-                Some(serde_json::Value::Array(blocks))
-            }
-        };
-        (companion, adapt_json, stats, adaptation.unwrap_or_default())
+        (score_through(&sharded, &stream, chunk, opts)?, Vec::new())
     };
+    let stats = drain_engine(args, sharded, out)?;
+    let adapt_log = args.optional("adapt-log").map(Path::new);
+    let mut adapt_blocks = Vec::with_capacity(controllers.len());
+    for (i, controller) in controllers.iter().enumerate() {
+        let log = adapt_log.map(|p| shape.shard_path(p, i));
+        adapt_blocks.push(adapt_summary(
+            controller,
+            &shape.adapt_label(i),
+            log.as_deref(),
+            out,
+        )?);
+    }
 
     // `--journal-out` on the stream path: absorb the adaptation
     // transition log (and fired failpoints) into the unified ops
@@ -993,8 +926,8 @@ fn cmd_serve_replay(args: &ParsedArgs, out: &mut dyn std::io::Write) -> Result<(
             .field("command", "serve-replay")
             .field("source", "stream")
             .field("rows", stream.len() as u64)
-            .field("shards", shards as u64)
-            .field("adapt", args.switch("adapt"));
+            .field("shards", shape.shards as u64)
+            .field("adapt", adapt);
         for (i, controller) in controllers.iter().enumerate() {
             controller.journal_events(&mut journal, i as u32);
         }
@@ -1030,17 +963,13 @@ fn cmd_serve_replay(args: &ParsedArgs, out: &mut dyn std::io::Write) -> Result<(
         "curve": replayed.curve,
     });
     if let serde_json::Value::Object(map) = &mut report {
-        if shards == 1 {
-            // The historical single-engine schema, unchanged.
-            map.insert("engine".into(), serde_json::json!(&stats_list[0]));
-        } else {
-            map.insert("shards".into(), serde_json::json!(shards));
-            map.insert("shard_engines".into(), serde_json::json!(&stats_list));
+        for (key, value) in shape.stats_fields(&stats) {
+            map.insert(key.into(), value);
         }
-    }
-    // Only present under `--adapt`, keeping the default report unchanged.
-    if let (Some(adapt), serde_json::Value::Object(map)) = (adapt_json, &mut report) {
-        map.insert("adapt".into(), adapt);
+        // Only present under `--adapt`, keeping the default report unchanged.
+        if adapt {
+            map.insert("adapt".into(), shape.per_shard(adapt_blocks));
+        }
     }
     std::fs::write(
         Path::new(out_path),
@@ -1067,47 +996,8 @@ fn cmd_serve_replay(args: &ParsedArgs, out: &mut dyn std::io::Write) -> Result<(
         best.false_positive_rate * 100.0,
         best.veto_rate * 100.0
     )?;
-    if shards == 1 {
-        write_engine_summary(out, "engine", &stats_list[0])?;
-    } else {
-        for (i, stats) in stats_list.iter().enumerate() {
-            write_engine_summary(out, &format!("shard {i}"), stats)?;
-        }
-    }
+    write_engine_summary(out, shape, &stats)?;
     writeln!(out, "curve written to {out_path}")?;
-    Ok(())
-}
-
-/// Honor `--drift-out p.json` for the sharded front end: every shard's
-/// sentinel reports independently (each shard saw only its routed
-/// slice), bundled as `{"shards": [report, ...]}`.
-fn write_drift_report_sharded(
-    args: &ParsedArgs,
-    sharded: &ShardedEngine,
-    out: &mut dyn std::io::Write,
-) -> Result<(), CliError> {
-    let Some(path) = args.optional("drift-out") else {
-        return Ok(());
-    };
-    let reports: Vec<serde_json::Value> = (0..sharded.shards())
-        .map(|i| match sharded.shard(i).drift_monitor() {
-            Some(monitor) => {
-                monitor.check_now();
-                serde_json::to_value(&monitor.drift_report())
-            }
-            None => serde_json::json!({ "envs": Vec::<serde_json::Value>::new() }),
-        })
-        .collect();
-    std::fs::write(
-        Path::new(path),
-        serde_json::to_string_pretty(&serde_json::json!({ "shards": reports }))
-            .expect("drift report serializes"),
-    )?;
-    writeln!(
-        out,
-        "per-shard drift report ({} shards) at {path}",
-        sharded.shards()
-    )?;
     Ok(())
 }
 
@@ -1147,10 +1037,6 @@ fn run_loadgen_replay(args: &ParsedArgs) -> Result<LoadgenRun, CliError> {
         ))
     })?;
     let bundle = load_bundle(args.required("model")?)?;
-    let shards = args.get_or("shards", 4usize)?;
-    if shards == 0 {
-        return Err(CliError::Data("--shards must be positive".into()));
-    }
     let submitters = args.get_or("submitters", 2usize)?.max(1);
     let envs = ProvinceCatalog::standard().names().len() as u16;
     let mut tc = TraceConfig::quick(pattern, bundle.n_features() as u32, envs);
@@ -1162,7 +1048,8 @@ fn run_loadgen_replay(args: &ParsedArgs) -> Result<LoadgenRun, CliError> {
         .transpose()?;
     let trace = synthesize_trace(&tc);
 
-    let (sharded, _) = sharded_from_flags(args, &bundle, shards)?;
+    let (sharded, _) = sharded_from_flags(args, &bundle, Some(4))?;
+    let shards = sharded.shards();
     let outcome = replay_trace(&sharded, trace, submitters)
         .map_err(|e| CliError::Data(format!("trace replay: {e}")))?;
     let tail = sharded.merged_enqueue_to_reply();

@@ -9,7 +9,7 @@
 //!                    [--batch 256] [--workers 2]
 //! lightmirm serve-replay --model model.json --data world.bin --out replay.json
 //!                    [--batch 256] [--workers 2] [--chunk 1] [--grid 40]
-//!                    [--shards 4] [--loadgen-trace flash-crowd]
+//!                    [--shards 1] [--loadgen-trace flash-crowd]
 //! lightmirm evaluate --model model.json --data world.bin [--min-rows 50]
 //! lightmirm audit    --model model.json --baseline a.bin --current b.bin
 //! lightmirm explain  --model model.json --data world.bin --row N [--top 5]
@@ -19,6 +19,11 @@
 //! Data files use the `loansim` binary format, or CSV when the path ends
 //! in `.csv`. Models are versioned JSON bundles (extractor + LR head +
 //! provenance).
+//!
+//! Every serving command (`score`, `serve-replay`, `ops-report`) runs
+//! through the sharded front end: `score` with one shard, `serve-replay`
+//! with `--shards N` (default 1 on the companion stream, 4 under
+//! `--loadgen-trace`). Scores are bit-identical for any shard count.
 
 mod args;
 mod commands;

@@ -2,7 +2,9 @@
 //! and `--trace-out` on `train` and `serve-replay`, driven through the
 //! real binary (`CARGO_BIN_EXE_lightmirm`), plus the degraded-mode flags
 //! (`--deadline-ms`, `--shed-watermark`/`--priority`) that must leave
-//! nonzero fault counters behind.
+//! nonzero fault counters behind, the engine geometry flags
+//! (`--shards` changes the report's shape but no score; zero
+//! `--batch`/`--workers`/`--shards` are data errors, not panics).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -380,6 +382,105 @@ fn loadgen_replay_tracing_journal_slo_and_ops_report() {
             snapshot.contains(section),
             "ops-report missing {section:?}:\n{snapshot}"
         );
+    }
+}
+
+#[test]
+fn serve_replay_stream_shard_count_changes_shape_not_scores() {
+    let dir = tdir("stream-shards");
+    let (world, model) = world_and_model(&dir);
+    let candidate = dir.join("candidate.json").to_string_lossy().into_owned();
+    run_ok(&[
+        "train", "--data", &world, "--out", &candidate, "--method", "erm", "--trees", "4",
+        "--epochs", "3",
+    ]);
+    let replay = |shards: &str, reload: bool| -> (serde_json::Value, String) {
+        let out = dir
+            .join(format!("replay-s{shards}-r{reload}.json"))
+            .to_string_lossy()
+            .into_owned();
+        let mut args = vec![
+            "serve-replay",
+            "--model",
+            &model,
+            "--data",
+            &world,
+            "--out",
+            &out,
+            "--chunk",
+            "3",
+            "--grid",
+            "8",
+            "--shards",
+            shards,
+        ];
+        if reload {
+            args.extend(["--reload-model", candidate.as_str()]);
+        }
+        let msg = run_ok(&args);
+        let json = serde_json::from_str(&std::fs::read_to_string(&out).expect("replay")).unwrap();
+        (json, msg)
+    };
+    for reload in [false, true] {
+        let (one, one_msg) = replay("1", reload);
+        let (three, three_msg) = replay("3", reload);
+        assert_eq!(
+            one["curve"], three["curve"],
+            "shard count changed the companion scores (reload: {reload})"
+        );
+        assert_eq!(one["rows"], three["rows"]);
+        // One shard keeps the historical single-engine shape.
+        assert!(one["engine"].as_object().is_some(), "{one}");
+        assert!(one.get("shards").is_none() && one.get("shard_engines").is_none());
+        assert!(one_msg.contains("engine: "), "{one_msg}");
+        // More shards report per shard.
+        assert_eq!(three["shards"].as_u64(), Some(3));
+        assert_eq!(three["shard_engines"].as_array().map(Vec::len), Some(3));
+        assert!(three.get("engine").is_none());
+        assert!(three_msg.contains("shard 2: "), "{three_msg}");
+        if reload {
+            assert!(one_msg.contains("hot-reloaded bundle from"), "{one_msg}");
+            assert!(three_msg.contains("on all 3 shards"), "{three_msg}");
+        }
+    }
+}
+
+#[test]
+fn zero_engine_flags_exit_one_naming_the_flag() {
+    let dir = tdir("zero-flags");
+    let (world, model) = world_and_model(&dir);
+    let out = dir.join("out.json").to_string_lossy().into_owned();
+    let stream = ["--model", &model, "--data", &world, "--out", &out];
+    let loadgen = [
+        "--model",
+        &model,
+        "--loadgen-trace",
+        "diurnal",
+        "--out",
+        &out,
+    ];
+    for (command, inputs, flag) in [
+        ("score", &stream, "--batch"),
+        ("score", &stream, "--workers"),
+        ("serve-replay", &stream, "--batch"),
+        ("serve-replay", &stream, "--workers"),
+        ("serve-replay", &stream, "--shards"),
+        ("serve-replay", &loadgen, "--workers"),
+        ("serve-replay", &loadgen, "--shards"),
+    ] {
+        let run = bin()
+            .arg(command)
+            .args(inputs)
+            .args([flag, "0"])
+            .output()
+            .expect("spawn lightmirm");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(
+            run.status.code(),
+            Some(1),
+            "{command} {inputs:?} {flag} 0 must fail as a data error:\n{stderr}"
+        );
+        assert!(stderr.contains(flag), "{command} {flag} 0:\n{stderr}");
     }
 }
 

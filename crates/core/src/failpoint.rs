@@ -53,6 +53,7 @@ pub enum FailMode {
 #[cfg(feature = "failpoints")]
 mod imp {
     use super::{FailMode, Fault};
+    use crate::hash;
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Mutex, OnceLock};
@@ -86,22 +87,10 @@ mod imp {
         registry().lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// FNV-1a, so a site's RNG stream depends on its name.
-    fn fnv1a(s: &str) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in s.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+    /// Advance a site's splitmix64 stream and return its next draw.
+    fn next_draw(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(hash::GOLDEN_GAMMA);
+        hash::splitmix64(*state)
     }
 
     /// Reset the plan: drop all sites and the fired-fault log, and fix
@@ -117,7 +106,8 @@ mod imp {
     /// Configure one site's firing schedule.
     pub fn set(site: &str, mode: FailMode) {
         let mut r = lock();
-        let rng = r.seed ^ fnv1a(site);
+        // FNV-1a of the name, so a site's RNG stream depends on it.
+        let rng = r.seed ^ hash::fnv1a(site.as_bytes());
         r.sites
             .insert(site.to_string(), Site { mode, hits: 0, rng });
         ENABLED.store(true, Ordering::SeqCst);
@@ -152,7 +142,7 @@ mod imp {
             FailMode::FirstK { k, fault } => (hit <= k).then_some(fault),
             FailMode::Every { n, fault } => (n > 0 && hit % n == 0).then_some(fault),
             FailMode::Prob { p, fault } => {
-                let draw = splitmix64(&mut s.rng) as f64 / u64::MAX as f64;
+                let draw = next_draw(&mut s.rng) as f64 / u64::MAX as f64;
                 (draw < p).then_some(fault)
             }
         };

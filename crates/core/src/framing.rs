@@ -25,6 +25,8 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
+use crate::hash;
+
 /// Frame magic: `LMRQ` ("LightMIRM request").
 pub const FRAME_MAGIC: [u8; 4] = *b"LMRQ";
 /// Current frame version.
@@ -129,12 +131,9 @@ impl Frame {
 /// The wire format is untouched: the id is derived, not transmitted.
 #[must_use]
 pub fn frame_request_id(seed: u64, index: u64) -> u64 {
-    // splitmix64 finalizer over a golden-ratio-strided counter — the
-    // same construction the load generator and shard router use.
-    let mut z = seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    // splitmix64 finalizer over a golden-ratio-strided counter, seeded
+    // by XOR.
+    hash::splitmix64(seed ^ index.wrapping_mul(hash::GOLDEN_GAMMA))
 }
 
 /// Append one frame to `buf`.

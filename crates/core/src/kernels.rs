@@ -12,12 +12,11 @@
 //!    its own logit pass via [`hvp_from_logits`];
 //! 2. **Vectorized row-block execution** — the default
 //!    [`crate::simd::Backend::Simd`] backend walks each chunk in
-//!    [`crate::simd::BLOCK_ROWS`]-row blocks: the touched weights are
-//!    gathered into contiguous aligned lanes
-//!    ([`MultiHotMatrix::gather_block`]) and the per-row `θᵀx` sums run as
-//!    eight independent accumulator chains
-//!    ([`crate::simd::accumulate_lanes`]) — vector adds across rows, with
-//!    a scalar tail for the last `rows.len() % BLOCK_ROWS` rows. Per-row
+//!    [`crate::simd::BLOCK_ROWS`]-row blocks: the per-row `θᵀx` sums run
+//!    as eight independent accumulator chains, all eight rows advanced
+//!    one active column per step ([`MultiHotMatrix::dot_block`]) —
+//!    vector adds across rows, with a scalar tail for the last
+//!    `rows.len() % BLOCK_ROWS` rows. Per-row
 //!    operation sequences are unchanged, so the blocked kernels are
 //!    **bit-identical** to the scalar backend and to the serial reference
 //!    in [`crate::lr`] (see [`crate::simd`] for the contract, and

@@ -57,6 +57,7 @@ pub mod eval;
 pub mod explain;
 pub mod failpoint;
 pub mod framing;
+pub mod hash;
 pub mod kernels;
 pub mod lr;
 pub mod mrq;

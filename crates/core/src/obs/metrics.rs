@@ -23,16 +23,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 const SHARDS: usize = 16;
 
-/// FNV-1a over the metric name; picks the shard.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// A metric's identity: name plus sorted label pairs.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MetricKey {
@@ -415,7 +405,8 @@ impl MetricsRegistry {
     }
 
     fn shard(&self, name: &str) -> MutexGuard<'_, BTreeMap<MetricKey, Metric>> {
-        let idx = (fnv1a(name) % SHARDS as u64) as usize;
+        // FNV-1a over the metric name picks the shard.
+        let idx = (crate::hash::fnv1a(name.as_bytes()) % SHARDS as u64) as usize;
         self.shards[idx]
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)

@@ -8,8 +8,8 @@
 //! [`crate::kernels`]:
 //!
 //! - [`AlignedVec`] — a 64-byte-aligned `f64` buffer (one cache line /
-//!   one AVX-512 register) adopted by `ScratchPool` and the per-block
-//!   gather scratch, so vector loads never split cache lines;
+//!   one AVX-512 register) adopted by `ScratchPool`, so vector loads
+//!   never split cache lines;
 //! - [`BLOCK_ROWS`]-wide structure-of-arrays helpers —
 //!   [`accumulate_lanes`] sums gathered weight lanes column-wise with
 //!   [`BLOCK_ROWS`] independent accumulators (8-way ILP, auto-vectorized
@@ -401,27 +401,6 @@ pub fn axpy_neg(out: &mut [f64], a: f64, x: &[f64]) {
     axpy(out, -a, x);
 }
 
-/// Run `f` with a thread-local [`AlignedVec`] gather scratch of at least
-/// `n` elements (contents unspecified on entry; `f` must fully overwrite
-/// what it reads). Reuses one allocation per thread across kernel calls,
-/// so staged per-block gathers (e.g. via
-/// [`crate::sparse::MultiHotMatrix::gather_block`]) cost no heap traffic
-/// in steady state. Calls must not nest on one thread — the scratch is a
-/// single per-thread cell.
-pub fn with_gather_scratch<R>(n: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
-    use std::cell::RefCell;
-    thread_local! {
-        static SCRATCH: RefCell<AlignedVec> = RefCell::new(AlignedVec::new());
-    }
-    SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        if buf.len() < n {
-            buf.resize(n, 0.0);
-        }
-        f(&mut buf[..n])
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,20 +536,5 @@ mod tests {
         assert_eq!(backend().name(), "simd");
         clear_forced_backend();
         assert_eq!(backend(), initial);
-    }
-
-    #[test]
-    fn gather_scratch_reuses_and_grows() {
-        let p1 = with_gather_scratch(16, |b| {
-            b.fill(1.0);
-            assert_eq!(b.len(), 16);
-            b.as_ptr() as usize
-        });
-        assert_eq!(p1 % ALIGNMENT, 0);
-        with_gather_scratch(8, |b| assert_eq!(b.len(), 8));
-        with_gather_scratch(4096, |b| {
-            assert_eq!(b.len(), 4096);
-            assert_eq!(b.as_ptr() as usize % ALIGNMENT, 0);
-        });
     }
 }

@@ -6,7 +6,7 @@
 //! instead of `O(rows × total_leaves)`.
 //!
 //! The constructor validates every index against `n_cols` once; the
-//! blocked gather ([`MultiHotMatrix::gather_block`]) relies on that
+//! blocked dot product ([`MultiHotMatrix::dot_block`]) relies on that
 //! invariant to read the weight vector without per-element bounds checks.
 
 use crate::simd::{self, Backend, BLOCK_ROWS};
@@ -113,9 +113,9 @@ impl MultiHotMatrix {
     /// Batch `θᵀx` over a row subset: `out[k] = dot_row(rows[k], weights)`.
     /// Offline predict and the serve engine's `score_batch` both route
     /// through this one inner loop; on the SIMD backend it runs
-    /// [`BLOCK_ROWS`]-row blocks through [`MultiHotMatrix::gather_block`]
-    /// with a scalar tail, bit-identical to the per-row path (the lane
-    /// sums add the same weights in the same order as [`Self::dot_row`]).
+    /// [`BLOCK_ROWS`]-row blocks through [`MultiHotMatrix::dot_block`]
+    /// with a scalar tail, bit-identical to the per-row path (each row's
+    /// sum adds the same weights in the same order as [`Self::dot_row`]).
     ///
     /// # Panics
     ///
@@ -183,36 +183,6 @@ impl MultiHotMatrix {
                 unsafe {
                     let c = *self.indices.get_unchecked(base[k] + j);
                     acc[k] += *weights.get_unchecked(c as usize);
-                }
-            }
-        }
-    }
-
-    /// Gather the touched weights of a [`BLOCK_ROWS`]-row block into
-    /// structure-of-arrays lanes: `lanes[j * BLOCK_ROWS + k]` holds the
-    /// weight of row `rows[k]`'s `j`-th active column, so
-    /// [`simd::accumulate_lanes`] can sum all eight rows with vector adds
-    /// while preserving each row's sequential `j`-order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `rows.len() != BLOCK_ROWS`,
-    /// `lanes.len() != nnz_per_row * BLOCK_ROWS`, or
-    /// `weights.len() != n_cols`.
-    pub fn gather_block(&self, rows: &[u32], weights: &[f64], lanes: &mut [f64]) {
-        let nnz = self.nnz_per_row;
-        assert_eq!(rows.len(), BLOCK_ROWS, "gather_block needs a full block");
-        assert_eq!(lanes.len(), nnz * BLOCK_ROWS, "lane buffer shape");
-        assert_eq!(weights.len(), self.n_cols, "weight vector shape");
-        for (k, &r) in rows.iter().enumerate() {
-            let idx = self.row(r as usize);
-            for (j, &c) in idx.iter().enumerate() {
-                // SAFETY: the constructor rejected any index >= n_cols and
-                // the asserts above pin weights.len() == n_cols and
-                // lanes.len() == nnz * BLOCK_ROWS with j < nnz, k < BLOCK_ROWS.
-                unsafe {
-                    *lanes.get_unchecked_mut(j * BLOCK_ROWS + k) =
-                        *weights.get_unchecked(c as usize);
                 }
             }
         }
@@ -299,31 +269,6 @@ mod tests {
         m.dot_rows_into_on(Backend::Simd, &rows, &w, &mut blocked);
         m.dot_rows_into_on(Backend::Scalar, &rows, &w, &mut scalar);
         assert_eq!(blocked, scalar);
-    }
-
-    #[test]
-    fn gather_block_lays_out_lanes_column_major() {
-        // 8 rows, 2 active per row, over 4 columns.
-        let indices: Vec<u32> = (0..16).map(|i| (i % 4) as u32).collect();
-        let m = MultiHotMatrix::new(indices, 2, 4).unwrap();
-        let w = [10.0, 20.0, 30.0, 40.0];
-        let rows: Vec<u32> = (0..8).collect();
-        let mut lanes = vec![0.0; 16];
-        m.gather_block(&rows, &w, &mut lanes);
-        for (k, &r) in rows.iter().enumerate() {
-            let idx = m.row(r as usize);
-            for (j, &c) in idx.iter().enumerate() {
-                assert_eq!(lanes[j * BLOCK_ROWS + k], w[c as usize]);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "full block")]
-    fn gather_block_rejects_partial_blocks() {
-        let m = MultiHotMatrix::new(vec![0, 1, 2, 3], 1, 5).unwrap();
-        let mut lanes = vec![0.0; BLOCK_ROWS];
-        m.gather_block(&[0, 1], &[0.0; 5], &mut lanes);
     }
 
     #[test]

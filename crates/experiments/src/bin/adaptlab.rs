@@ -26,8 +26,8 @@ use lightmirm_core::prelude::*;
 use lightmirm_experiments::{write_json, ExpConfig};
 use lightmirm_metrics::rank::auc;
 use lightmirm_serve::{
-    AdaptConfig, EngineConfig, FeedConfig, LabelFeed, MonitorConfig, PromotionController,
-    ScoringEngine,
+    AdaptConfig, Admission, EngineConfig, FeedConfig, LabelFeed, MonitorConfig,
+    PromotionController, ScoringEngine, SubmitOptions,
 };
 use loansim::{generate, temporal_split, GeneratorConfig, ProvinceCatalog};
 
@@ -166,6 +166,8 @@ fn main() {
             .submit(
                 s_feats[r * nf..(r + n) * nf].to_vec(),
                 s_envs[r..r + n].to_vec(),
+                SubmitOptions::default(),
+                Admission::Block,
             )
             .expect("accepted")
             .wait()

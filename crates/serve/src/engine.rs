@@ -202,8 +202,8 @@ pub struct SubmitOptions {
 /// Why a submission was not accepted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The bounded queue is at capacity (only from
-    /// [`ScoringEngine::try_submit`]; blocking submit waits instead).
+    /// The bounded queue is at capacity (only under [`Admission::Try`];
+    /// [`Admission::Block`] waits instead).
     QueueFull,
     /// The queue is above the shed watermark and the request is
     /// [`Priority::Low`].
@@ -237,6 +237,28 @@ impl std::fmt::Display for SubmitError {
 }
 
 impl std::error::Error for SubmitError {}
+
+/// What [`ScoringEngine::submit`] does when the queue lacks room for the
+/// request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    /// Park until a dispatch frees enough rows (backpressure).
+    Block,
+    /// Reject at once with [`SubmitError::QueueFull`] (load shedding).
+    Try,
+}
+
+/// A submission the engine did not accept: the reason, plus the
+/// caller's buffers handed back untouched.
+#[derive(Debug)]
+pub struct Rejected {
+    /// Why the request was not accepted.
+    pub error: SubmitError,
+    /// The submitted feature rows, unchanged.
+    pub features: Vec<f32>,
+    /// The submitted environment ids, unchanged.
+    pub env_ids: Vec<u16>,
+}
 
 /// Structured outcome for an accepted-but-unanswerable request. Every
 /// accepted request terminates in scores or exactly one of these.
@@ -525,7 +547,7 @@ pub struct EngineStats {
     pub requests: u64,
     /// Rows scored so far.
     pub rows_scored: u64,
-    /// `try_submit` calls bounced with [`SubmitError::QueueFull`].
+    /// [`Admission::Try`] submits bounced with [`SubmitError::QueueFull`].
     pub rejected_full: u64,
     /// Low-priority submissions shed at the watermark.
     pub shed_low_priority: u64,
@@ -774,135 +796,39 @@ impl ScoringEngine {
         &self.shared.cfg
     }
 
-    /// Enqueue a scoring request, blocking while the queue is at
-    /// capacity. Returns a [`PendingScores`] handle; scores come back
-    /// position-aligned with the submitted rows.
+    /// Enqueue a scoring request. Returns a [`PendingScores`] handle;
+    /// scores come back position-aligned with the submitted rows.
+    /// `admission` picks what a full queue does: [`Admission::Block`]
+    /// parks until a dispatch frees rows, [`Admission::Try`] rejects at
+    /// once with [`SubmitError::QueueFull`] (load shedding).
     ///
     /// # Errors
     ///
-    /// See [`SubmitError`] (everything but `QueueFull`, which blocks).
+    /// A [`Rejected`] carrying the [`SubmitError`] and the untouched
+    /// `features`/`env_ids`, so a caller (e.g. the shard router's
+    /// redirect walk) can resubmit them without cloning the rows.
     pub fn submit(
         &self,
         features: Vec<f32>,
         env_ids: Vec<u16>,
-    ) -> Result<PendingScores, SubmitError> {
-        self.submit_inner(features, env_ids, SubmitOptions::default(), true)
-    }
-
-    /// [`ScoringEngine::submit`] with a deadline and priority.
-    ///
-    /// # Errors
-    ///
-    /// See [`SubmitError`].
-    pub fn submit_with(
-        &self,
-        features: Vec<f32>,
-        env_ids: Vec<u16>,
         opts: SubmitOptions,
-    ) -> Result<PendingScores, SubmitError> {
-        self.submit_inner(features, env_ids, opts, true)
-    }
-
-    /// Non-blocking [`ScoringEngine::submit`]: a full queue returns
-    /// [`SubmitError::QueueFull`] immediately (load shedding).
-    ///
-    /// # Errors
-    ///
-    /// See [`SubmitError`].
-    pub fn try_submit(
-        &self,
-        features: Vec<f32>,
-        env_ids: Vec<u16>,
-    ) -> Result<PendingScores, SubmitError> {
-        self.submit_inner(features, env_ids, SubmitOptions::default(), false)
-    }
-
-    /// Non-blocking [`ScoringEngine::submit_with`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SubmitError`].
-    pub fn try_submit_with(
-        &self,
-        features: Vec<f32>,
-        env_ids: Vec<u16>,
-        opts: SubmitOptions,
-    ) -> Result<PendingScores, SubmitError> {
-        self.submit_inner(features, env_ids, opts, false)
-    }
-
-    /// Non-blocking submit that hands the buffers back on rejection, so
-    /// a shard router can redirect an overflowing request to a sibling
-    /// without cloning the feature rows.
-    ///
-    /// # Errors
-    ///
-    /// The [`SubmitError`] plus the untouched `features`/`env_ids`.
-    pub fn try_submit_reclaim(
-        &self,
-        features: Vec<f32>,
-        env_ids: Vec<u16>,
-        opts: SubmitOptions,
-    ) -> Result<PendingScores, (SubmitError, Vec<f32>, Vec<u16>)> {
-        self.submit_reclaim(features, env_ids, opts, false)
-    }
-
-    /// Blocking [`ScoringEngine::try_submit_reclaim`].
-    ///
-    /// # Errors
-    ///
-    /// The [`SubmitError`] plus the untouched `features`/`env_ids`.
-    pub fn submit_reclaim(
-        &self,
-        features: Vec<f32>,
-        env_ids: Vec<u16>,
-        opts: SubmitOptions,
-        block: bool,
-    ) -> Result<PendingScores, (SubmitError, Vec<f32>, Vec<u16>)> {
-        self.submit_full(features, env_ids, opts, block)
-    }
-
-    /// Submit and wait: the one-call form for batch drivers.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError`] on rejection; a drained engine never loses an
-    /// accepted request, so the wait itself only fails on engine death.
-    pub fn score_blocking(
-        &self,
-        features: Vec<f32>,
-        env_ids: Vec<u16>,
-    ) -> Result<Vec<f64>, SubmitError> {
-        let pending = self.submit(features, env_ids)?;
-        pending.wait().map_err(|_| SubmitError::ShuttingDown)
-    }
-
-    fn submit_inner(
-        &self,
-        features: Vec<f32>,
-        env_ids: Vec<u16>,
-        opts: SubmitOptions,
-        block: bool,
-    ) -> Result<PendingScores, SubmitError> {
-        self.submit_full(features, env_ids, opts, block)
-            .map_err(|(e, _, _)| e)
-    }
-
-    fn submit_full(
-        &self,
-        features: Vec<f32>,
-        env_ids: Vec<u16>,
-        opts: SubmitOptions,
-        block: bool,
-    ) -> Result<PendingScores, (SubmitError, Vec<f32>, Vec<u16>)> {
+        admission: Admission,
+    ) -> Result<PendingScores, Rejected> {
         let submitted_at = Instant::now();
+        let reject = |error, features, env_ids| {
+            Err(Rejected {
+                error,
+                features,
+                env_ids,
+            })
+        };
         let expected = env_ids.len() * self.shared.n_features;
         if features.len() != expected {
             let err = SubmitError::Malformed {
                 features: features.len(),
                 expected,
             };
-            return Err((err, features, env_ids));
+            return reject(err, features, env_ids);
         }
         let rows = env_ids.len();
         let (tx, rx) = mpsc::channel();
@@ -920,7 +846,7 @@ impl ScoringEngine {
                 rows,
                 capacity: self.shared.cfg.queue_capacity,
             };
-            return Err((err, features, env_ids));
+            return reject(err, features, env_ids);
         }
         let shared = &*self.shared;
         let capacity = shared.cfg.queue_capacity;
@@ -938,12 +864,12 @@ impl ScoringEngine {
         // CAS fail and the decision is retaken.
         loop {
             if shared.is_shutdown() {
-                return Err((SubmitError::ShuttingDown, features, env_ids));
+                return reject(SubmitError::ShuttingDown, features, env_ids);
             }
             let cur = queued.load(Ordering::SeqCst);
             if opts.priority == Priority::Low && cur + rows > shed_rows {
                 lock(&shared.metrics).shed_low_priority += 1;
-                return Err((SubmitError::Shed, features, env_ids));
+                return reject(SubmitError::Shed, features, env_ids);
             }
             if cur + rows <= capacity {
                 if queued
@@ -954,9 +880,9 @@ impl ScoringEngine {
                 }
                 continue;
             }
-            if !block {
+            if admission == Admission::Try {
                 lock(&shared.metrics).rejected_full += 1;
-                return Err((SubmitError::QueueFull, features, env_ids));
+                return reject(SubmitError::QueueFull, features, env_ids);
             }
             // Park until a dispatch frees rows. Re-check under the park
             // mutex (see `Shared::wake` for the pairing argument).
@@ -984,7 +910,7 @@ impl ScoringEngine {
         if shared.is_shutdown() {
             queued.fetch_sub(rows, Ordering::SeqCst);
             shared.wake(&shared.not_full);
-            return Err((SubmitError::ShuttingDown, features, env_ids));
+            return reject(SubmitError::ShuttingDown, features, env_ids);
         }
         let now = Instant::now();
         // Stage boundary t0. Admission is defined as everything between
@@ -1208,13 +1134,6 @@ impl ScoringEngine {
     /// from the aggregate.
     pub fn enqueue_to_reply_histogram(&self) -> Histogram {
         lock(&self.shared.metrics).enqueue_to_reply_ns.clone()
-    }
-
-    /// Clone of the queue-admission → reply latency histogram (blocking
-    /// submit waits excluded); same merging rationale as
-    /// [`ScoringEngine::enqueue_to_reply_histogram`].
-    pub fn latency_histogram(&self) -> Histogram {
-        lock(&self.shared.metrics).latency_ns.clone()
     }
 
     /// The retained k-slowest request traces, slowest first (empty

@@ -16,12 +16,18 @@
 //!   `TrainedModel::predict_rows`, regardless of how the stream is split
 //!   into requests, how requests coalesce into micro-batches, or how many
 //!   workers run (verified in `tests/serve_equivalence.rs`).
-//! - **Backpressure** — the queue is bounded in rows;
-//!   [`ScoringEngine::submit`] blocks until space frees, while
-//!   [`ScoringEngine::try_submit`] returns [`SubmitError::QueueFull`]
-//!   immediately so callers can shed load. Above the configurable
-//!   `shed_watermark`, [`Priority::Low`] traffic is rejected with
-//!   [`SubmitError::Shed`] before the queue hard-fills.
+//! - **Backpressure** — the queue is bounded in rows. There is one
+//!   submit call, [`ScoringEngine::submit`]: under [`Admission::Block`]
+//!   it waits until space frees, under [`Admission::Try`] it returns
+//!   [`SubmitError::QueueFull`] immediately so callers can shed load.
+//!   Above the configurable `shed_watermark`, [`Priority::Low`] traffic
+//!   is rejected with [`SubmitError::Shed`] before the queue hard-fills.
+//!   Every rejection is a [`Rejected`] that hands the request's buffers
+//!   back by move, so a caller can resubmit without cloning rows.
+//! - **One front end** — [`ShardedEngine`] routes requests over N ≥ 1
+//!   independent engine shards and is what every serving command drives
+//!   (one shard reproduces a lone engine bit for bit);
+//!   [`ScoringEngine`] is the per-shard engine it is built from.
 //! - **Fault isolation** — every accepted request is answered exactly
 //!   once with scores or a structured [`ScoreError`]: scoring panics are
 //!   caught and retried up to `max_attempts` (then
@@ -97,8 +103,8 @@ pub use adapt::{
     PromotionController, RollbackReason,
 };
 pub use engine::{
-    scoped_failpoint_site, EngineConfig, EngineStats, PendingScores, Priority, ReloadError,
-    ScoreError, ScoredResponse, ScoringEngine, SubmitError, SubmitOptions,
+    scoped_failpoint_site, Admission, EngineConfig, EngineStats, PendingScores, Priority, Rejected,
+    ReloadError, ScoreError, ScoredResponse, ScoringEngine, SubmitError, SubmitOptions,
 };
 pub use monitor::{DriftMonitor, DriftReport, EnvDrift, MonitorConfig, SignalDrift};
 pub use registry::{ModelRegistry, RegistryConfig, RegistryError};

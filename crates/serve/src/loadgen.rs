@@ -24,6 +24,7 @@ use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 use lightmirm_core::framing::{encode_frame, frame_request_id, Frame, FrameError, FrameReader};
+use lightmirm_core::hash;
 
 use crate::engine::{PendingScores, Priority, SubmitError, SubmitOptions};
 use crate::shard::ShardedEngine;
@@ -33,14 +34,13 @@ use crate::shard::ShardedEngine;
 /// trace names the same logical request across runs and shard counts.
 const REQUEST_ID_SEED: u64 = 0x4c4d_5251;
 
-/// splitmix64 finalizer — the trace's only source of pseudo-randomness.
+/// splitmix64 at counter `counter` of the stream seeded with `seed` —
+/// the trace's only source of pseudo-randomness.
 fn mix(seed: u64, counter: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(counter.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    hash::splitmix64(
+        seed.wrapping_add(counter.wrapping_mul(hash::GOLDEN_GAMMA))
+            .wrapping_add(hash::GOLDEN_GAMMA),
+    )
 }
 
 /// The traffic shapes a trace can replay.
@@ -239,16 +239,12 @@ impl ReplayOutcome {
     /// FNV-1a digest of the reply stream's little-endian bytes — the
     /// determinism tests' one-number fingerprint.
     pub fn score_digest(&self) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for event in &self.scores {
-            for s in event {
-                for b in s.to_le_bytes() {
-                    hash ^= u64::from(b);
-                    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-            }
-        }
-        hash
+        self.scores
+            .iter()
+            .flatten()
+            .fold(hash::FNV1A_OFFSET, |h, s| {
+                hash::fnv1a_extend(h, &s.to_le_bytes())
+            })
     }
 }
 

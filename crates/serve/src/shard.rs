@@ -19,26 +19,23 @@
 //! shard without changing a single score.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use lightmirm_core::bundle::ModelBundle;
+use lightmirm_core::hash;
 use lightmirm_core::obs::request::{RequestTrace, TailSampler, N_STAGES};
 use lightmirm_core::obs::{MetricEntry, MetricKey, MetricValue, MetricsSnapshot};
 use lightmirm_core::timing::Histogram;
 
 use crate::engine::{
-    EngineConfig, EngineStats, PendingScores, ReloadError, ScoringEngine, SubmitError,
-    SubmitOptions,
+    Admission, EngineConfig, EngineStats, PendingScores, Rejected, ReloadError, ScoringEngine,
+    SubmitError, SubmitOptions,
 };
 
-/// splitmix64 finalizer: the router's stateless key hash. Written out
-/// here (rather than reusing an RNG type) because the spec is part of
-/// the routing contract — DESIGN.md §5k documents these exact constants.
-fn splitmix64(key: u64) -> u64 {
-    let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// The router's stateless key hash: the first splitmix64 output of the
+/// stream seeded with `key`. The spec is part of the routing contract
+/// (DESIGN.md §5k); the constants live in [`lightmirm_core::hash`].
+fn route_hash(key: u16) -> u64 {
+    hash::splitmix64(u64::from(key).wrapping_add(hash::GOLDEN_GAMMA))
 }
 
 /// Stable key → shard mapping: pinning table first, splitmix64 hash
@@ -86,7 +83,7 @@ impl ShardRouter {
     pub fn route(&self, key: u16) -> usize {
         match self.pinned.get(&key) {
             Some(&shard) => shard,
-            None => (splitmix64(u64::from(key)) % self.shards as u64) as usize,
+            None => (route_hash(key) % self.shards as u64) as usize,
         }
     }
 
@@ -219,10 +216,10 @@ impl ShardedEngine {
     /// pending scores.
     ///
     /// Under [`OverflowPolicy::Redirect`], a rejecting primary
-    /// (full/shed/draining) redirects non-blocking through the remaining
-    /// shards in ring order; if every shard rejects, the call blocks on
-    /// the first non-draining shard, and only errs when all shards are
-    /// draining (or the request itself is invalid).
+    /// (full/shed/draining) redirects with [`Admission::Try`] through the
+    /// remaining shards in ring order; if every shard rejects, the call
+    /// blocks on the first non-draining shard, and only errs when all
+    /// shards are draining (or the request itself is invalid).
     ///
     /// # Errors
     ///
@@ -234,68 +231,35 @@ impl ShardedEngine {
         env_ids: Vec<u16>,
         opts: SubmitOptions,
     ) -> Result<(usize, PendingScores), SubmitError> {
-        self.submit_routed(key, features, env_ids, opts, true)
-    }
-
-    /// Non-blocking [`ShardedEngine::submit`]: rejections surface
-    /// immediately (after the redirect walk, under
-    /// [`OverflowPolicy::Redirect`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`SubmitError`].
-    pub fn try_submit(
-        &self,
-        key: u16,
-        features: Vec<f32>,
-        env_ids: Vec<u16>,
-        opts: SubmitOptions,
-    ) -> Result<(usize, PendingScores), SubmitError> {
-        self.submit_routed(key, features, env_ids, opts, false)
-    }
-
-    fn submit_routed(
-        &self,
-        key: u16,
-        mut features: Vec<f32>,
-        mut env_ids: Vec<u16>,
-        opts: SubmitOptions,
-        block: bool,
-    ) -> Result<(usize, PendingScores), SubmitError> {
         let primary = self.router.route(key);
         let n = self.shards.len();
         // Primary attempt: non-blocking under Redirect (so an overflow
         // walks instead of waiting), blocking under Reject.
-        let primary_block = block && self.overflow == OverflowPolicy::Reject;
-        let primary_err =
-            match self.shards[primary].submit_reclaim(features, env_ids, opts, primary_block) {
-                Ok(pending) => return Ok((primary, pending)),
-                Err((err, f, e)) => {
-                    features = f;
-                    env_ids = e;
-                    err
-                }
-            };
+        let admission = match self.overflow {
+            OverflowPolicy::Reject => Admission::Block,
+            OverflowPolicy::Redirect => Admission::Try,
+        };
+        let mut rejected = match self.shards[primary].submit(features, env_ids, opts, admission) {
+            Ok(pending) => return Ok((primary, pending)),
+            Err(rejected) => rejected,
+        };
         let redirectable = matches!(
-            primary_err,
+            rejected.error,
             SubmitError::QueueFull | SubmitError::Shed | SubmitError::ShuttingDown
         );
         if self.overflow == OverflowPolicy::Reject || !redirectable {
-            return Err(primary_err);
+            return Err(rejected.error);
         }
         // Redirect walk, ring order from the primary's successor.
         for step in 1..n {
             let shard = (primary + step) % n;
-            match self.shards[shard].try_submit_reclaim(features, env_ids, opts) {
+            let Rejected {
+                features, env_ids, ..
+            } = rejected;
+            match self.shards[shard].submit(features, env_ids, opts, Admission::Try) {
                 Ok(pending) => return Ok((shard, pending)),
-                Err((_, f, e)) => {
-                    features = f;
-                    env_ids = e;
-                }
+                Err(again) => rejected = again,
             }
-        }
-        if !block {
-            return Err(primary_err);
         }
         // Everything rejected non-blocking: park on the first shard
         // still taking traffic (ring order keeps this deterministic).
@@ -304,16 +268,14 @@ impl ShardedEngine {
             if self.shards[shard].is_draining() {
                 continue;
             }
-            match self.shards[shard].submit_reclaim(features, env_ids, opts, true) {
+            let Rejected {
+                features, env_ids, ..
+            } = rejected;
+            match self.shards[shard].submit(features, env_ids, opts, Admission::Block) {
                 Ok(pending) => return Ok((shard, pending)),
-                Err((err, f, e)) => {
-                    features = f;
-                    env_ids = e;
-                    // A shard that started draining mid-wait: move on.
-                    if err != SubmitError::ShuttingDown {
-                        return Err(err);
-                    }
-                }
+                // A shard that started draining mid-wait: move on.
+                Err(again) if again.error == SubmitError::ShuttingDown => rejected = again,
+                Err(again) => return Err(again.error),
             }
         }
         Err(SubmitError::ShuttingDown)
@@ -441,11 +403,6 @@ impl ShardedEngine {
             ],
         });
         merged
-    }
-
-    /// Currently served bundles, indexed by shard.
-    pub fn bundles(&self) -> Vec<Arc<ModelBundle>> {
-        self.shards.iter().map(ScoringEngine::bundle).collect()
     }
 
     /// Stop intake on one shard while its siblings keep serving — the

@@ -24,8 +24,8 @@ use lightmirm_core::trainers::TrainConfig;
 use lightmirm_metrics::drift::DriftLevel;
 use lightmirm_metrics::rank::auc;
 use lightmirm_serve::{
-    AdaptConfig, AdaptOutcome, EngineConfig, FeedConfig, LabelFeed, MonitorConfig,
-    PromotionController, ScoringEngine,
+    AdaptConfig, AdaptOutcome, Admission, EngineConfig, FeedConfig, LabelFeed, MonitorConfig,
+    PromotionController, ScoringEngine, SubmitOptions,
 };
 use loansim::{generate, temporal_split, GeneratorConfig, ProvinceCatalog};
 
@@ -209,6 +209,8 @@ fn adaptive_replay(
             .submit(
                 w.feats[r * nf..(r + n) * nf].to_vec(),
                 w.envs[r..r + n].to_vec(),
+                SubmitOptions::default(),
+                Admission::Block,
             )
             .expect("accepted")
             .wait()
@@ -303,7 +305,12 @@ fn adaptation_recovers_at_least_half_the_auc_lost_to_the_shift() {
         .zip(w.shifted_envs.chunks(64))
     {
         engine
-            .submit(chunk_f.to_vec(), chunk_e.to_vec())
+            .submit(
+                chunk_f.to_vec(),
+                chunk_e.to_vec(),
+                SubmitOptions::default(),
+                Admission::Block,
+            )
             .expect("accepted")
             .wait()
             .expect("scored");
@@ -368,7 +375,12 @@ fn unsatisfiable_guard_rolls_back_bit_identically_every_time() {
     );
     // And the engine still serves the pristine champion afterwards.
     let post = engine
-        .submit(w.shifted_feats.clone(), w.shifted_envs.clone())
+        .submit(
+            w.shifted_feats.clone(),
+            w.shifted_envs.clone(),
+            SubmitOptions::default(),
+            Admission::Block,
+        )
         .expect("accepted")
         .wait()
         .expect("scored");
@@ -408,7 +420,12 @@ fn legacy_bundle_without_baseline_leaves_adaptation_inert() {
 
     // Scores are untouched by the inert controller.
     let served = engine
-        .submit(w.feats.clone(), w.envs.clone())
+        .submit(
+            w.feats.clone(),
+            w.envs.clone(),
+            SubmitOptions::default(),
+            Admission::Block,
+        )
         .expect("accepted")
         .wait()
         .expect("scored");
@@ -441,7 +458,12 @@ fn concurrent_reloads_serialize_and_keep_bundle_and_monitor_paired() {
         });
         // Scoring load concurrent with both reloads.
         let served = engine
-            .submit(w.feats[..64 * nf].to_vec(), w.envs[..64].to_vec())
+            .submit(
+                w.feats[..64 * nf].to_vec(),
+                w.envs[..64].to_vec(),
+                SubmitOptions::default(),
+                Admission::Block,
+            )
             .expect("accepted")
             .wait()
             .expect("scored");

@@ -16,7 +16,7 @@ use std::time::Duration;
 use lightmirm_core::failpoint::{self, FailMode, Fault};
 use lightmirm_core::prelude::*;
 use lightmirm_core::trainers::TrainConfig;
-use lightmirm_serve::{EngineConfig, ScoreError, ScoringEngine};
+use lightmirm_serve::{Admission, EngineConfig, ScoreError, ScoringEngine, SubmitOptions};
 use loansim::{generate, temporal_split, GeneratorConfig, LoanFrame, ProvinceCatalog};
 
 /// The failpoint registry is process-global: chaos tests run one at a
@@ -99,7 +99,12 @@ fn drive(engine: &ScoringEngine, n: usize) -> Vec<Result<Vec<f64>, ScoreError>> 
     let pending: Vec<_> = (0..n)
         .map(|k| {
             engine
-                .submit(w.stream.row(k).to_vec(), vec![w.stream.province[k]])
+                .submit(
+                    w.stream.row(k).to_vec(),
+                    vec![w.stream.province[k]],
+                    SubmitOptions::default(),
+                    Admission::Block,
+                )
                 .expect("accepted")
         })
         .collect();
@@ -269,7 +274,12 @@ fn a_fixed_seed_replays_faults_and_outcomes_identically() {
         let outcomes: Vec<Result<Vec<u64>, ScoreError>> = (0..80)
             .map(|k| {
                 engine
-                    .submit(w.stream.row(k).to_vec(), vec![w.stream.province[k]])
+                    .submit(
+                        w.stream.row(k).to_vec(),
+                        vec![w.stream.province[k]],
+                        SubmitOptions::default(),
+                        Admission::Block,
+                    )
                     .expect("accepted")
                     .wait()
                     .map(|scores| scores.iter().map(|s| s.to_bits()).collect())
@@ -325,7 +335,12 @@ fn shutdown_mid_fault_storm_answers_everything() {
     let pending: Vec<_> = (0..60)
         .map(|k| {
             engine
-                .submit(w.stream.row(k).to_vec(), vec![w.stream.province[k]])
+                .submit(
+                    w.stream.row(k).to_vec(),
+                    vec![w.stream.province[k]],
+                    SubmitOptions::default(),
+                    Admission::Block,
+                )
                 .expect("accepted")
         })
         .collect();

@@ -9,7 +9,9 @@ use std::time::Duration;
 
 use lightmirm_core::prelude::*;
 use lightmirm_core::trainers::TrainConfig;
-use lightmirm_serve::{EngineConfig, Priority, ScoringEngine, SubmitError, SubmitOptions};
+use lightmirm_serve::{
+    Admission, EngineConfig, Priority, ScoringEngine, SubmitError, SubmitOptions,
+};
 use loansim::{generate, temporal_split, GeneratorConfig, LoanFrame, ProvinceCatalog};
 
 /// Train a small bundle and keep the held-out stream plus its offline
@@ -46,7 +48,8 @@ fn served_world() -> (ModelBundle, LoanFrame, Vec<f64>) {
 #[test]
 fn try_submit_contention_answers_every_accepted_request_exactly_once() {
     let (bundle, stream, offline) = served_world();
-    // Tiny queue + slow dispatch threshold: most try_submits bounce.
+    // Tiny queue + slow dispatch threshold: most `Admission::Try`
+    // submits bounce.
     let engine = Arc::new(ScoringEngine::new(
         bundle,
         EngineConfig {
@@ -73,7 +76,15 @@ fn try_submit_contention_answers_every_accepted_request_exactly_once() {
             );
             std::thread::spawn(move || {
                 for k in (t..n).step_by(8) {
-                    match engine.try_submit(stream.row(k).to_vec(), vec![stream.province[k]]) {
+                    match engine
+                        .submit(
+                            stream.row(k).to_vec(),
+                            vec![stream.province[k]],
+                            SubmitOptions::default(),
+                            Admission::Try,
+                        )
+                        .map_err(|rejected| rejected.error)
+                    {
                         Ok(p) => {
                             accepted.fetch_add(1, Ordering::SeqCst);
                             let scores = p.wait().expect("accepted request is answered");
@@ -104,7 +115,7 @@ fn try_submit_contention_answers_every_accepted_request_exactly_once() {
     assert_eq!(
         accepted.load(Ordering::SeqCst) + full.load(Ordering::SeqCst),
         n,
-        "every try_submit resolved to accept or QueueFull"
+        "every Admission::Try submit resolved to accept or QueueFull"
     );
 }
 
@@ -131,10 +142,15 @@ fn oversized_requests_are_rejected_under_concurrency_without_wedging() {
                 for i in 0..50 {
                     // Interleave poison-pill oversized requests with real ones.
                     let err = engine
-                        .try_submit(vec![0.0; 9 * nf], vec![0; 9])
+                        .submit(
+                            vec![0.0; 9 * nf],
+                            vec![0; 9],
+                            SubmitOptions::default(),
+                            Admission::Try,
+                        )
                         .expect_err("9 rows can never fit an 8-row queue");
                     assert_eq!(
-                        err,
+                        err.error,
                         SubmitError::RequestTooLarge {
                             rows: 9,
                             capacity: 8
@@ -142,7 +158,14 @@ fn oversized_requests_are_rejected_under_concurrency_without_wedging() {
                     );
                     let k = (t * 50 + i) % stream.len();
                     let scores = engine
-                        .score_blocking(stream.row(k).to_vec(), vec![stream.province[k]])
+                        .submit(
+                            stream.row(k).to_vec(),
+                            vec![stream.province[k]],
+                            SubmitOptions::default(),
+                            Admission::Block,
+                        )
+                        .expect("accepted")
+                        .wait()
                         .expect("well-formed request succeeds");
                     assert_eq!(scores[0], offline[k]);
                 }
@@ -183,7 +206,15 @@ fn shutdown_vs_submit_race_never_loses_an_accepted_request() {
             std::thread::spawn(move || {
                 for k in (t..600).step_by(6) {
                     let k = k % stream.len();
-                    match engine.try_submit(stream.row(k).to_vec(), vec![stream.province[k]]) {
+                    match engine
+                        .submit(
+                            stream.row(k).to_vec(),
+                            vec![stream.province[k]],
+                            SubmitOptions::default(),
+                            Admission::Try,
+                        )
+                        .map_err(|rejected| rejected.error)
+                    {
                         Ok(p) => {
                             accepted.fetch_add(1, Ordering::SeqCst);
                             // Drain guarantee: accepted before/during
@@ -255,20 +286,31 @@ fn low_priority_traffic_sheds_at_the_watermark() {
     let mut pending = Vec::new();
     for k in 0..4 {
         let (f, e) = one(k);
-        pending.push(engine.try_submit_with(f, e, low).expect("below watermark"));
+        pending.push(
+            engine
+                .submit(f, e, low, Admission::Try)
+                .expect("below watermark"),
+        );
     }
     // Low sheds at the watermark; normal traffic still fits.
     let (f, e) = one(4);
     assert_eq!(
-        engine.try_submit_with(f, e, low).unwrap_err(),
+        engine.submit(f, e, low, Admission::Try).unwrap_err().error,
         SubmitError::Shed
     );
     let (f, e) = one(4);
-    pending.push(engine.try_submit(f, e).expect("normal traffic unaffected"));
+    pending.push(
+        engine
+            .submit(f, e, SubmitOptions::default(), Admission::Try)
+            .expect("normal traffic unaffected"),
+    );
     // Blocking low-priority submits shed too (they must not block).
     let (f, e) = one(5);
     assert_eq!(
-        engine.submit_with(f, e, low).unwrap_err(),
+        engine
+            .submit(f, e, low, Admission::Block)
+            .unwrap_err()
+            .error,
         SubmitError::Shed
     );
     // High priority also keeps flowing up to the hard bound.
@@ -277,7 +319,11 @@ fn low_priority_traffic_sheds_at_the_watermark() {
         priority: Priority::High,
         ..SubmitOptions::default()
     };
-    pending.push(engine.try_submit_with(f, e, high).expect("high passes"));
+    pending.push(
+        engine
+            .submit(f, e, high, Admission::Try)
+            .expect("high passes"),
+    );
 
     let stats = engine.stats();
     assert_eq!(stats.shed_low_priority, 2);
@@ -308,7 +354,12 @@ fn expired_only_batches_answer_deadline_exceeded() {
         ..SubmitOptions::default()
     };
     let p = engine
-        .submit_with(stream.row(0).to_vec(), vec![stream.province[0]], dead)
+        .submit(
+            stream.row(0).to_vec(),
+            vec![stream.province[0]],
+            dead,
+            Admission::Block,
+        )
         .expect("accepted");
     assert_eq!(
         p.wait().unwrap_err(),
@@ -322,7 +373,12 @@ fn expired_only_batches_answer_deadline_exceeded() {
         ..SubmitOptions::default()
     };
     let p = engine
-        .submit_with(stream.row(0).to_vec(), vec![stream.province[0]], ok)
+        .submit(
+            stream.row(0).to_vec(),
+            vec![stream.province[0]],
+            ok,
+            Admission::Block,
+        )
         .expect("accepted");
     assert_eq!(p.wait().expect("scored"), vec![offline[0]]);
     engine.shutdown();

@@ -9,7 +9,8 @@ use lightmirm_core::lr::LrModel;
 use lightmirm_core::prelude::*;
 use lightmirm_core::trainers::TrainConfig;
 use lightmirm_serve::{
-    EngineConfig, QuarantineFallback, QuarantinePolicy, ScoreError, ScoringEngine,
+    Admission, EngineConfig, QuarantineFallback, QuarantinePolicy, ScoreError, ScoringEngine,
+    SubmitOptions,
 };
 use loansim::{generate, temporal_split, GeneratorConfig, LoanFrame, ProvinceCatalog};
 
@@ -81,8 +82,15 @@ fn failed_reload_rolls_back_with_no_inflight_disruption() {
         std::thread::spawn(move || {
             for (k, reference) in offline.iter().enumerate().take(n) {
                 let scores = engine
-                    .score_blocking(stream.row(k).to_vec(), vec![stream.province[k]])
-                    .expect("accepted");
+                    .submit(
+                        stream.row(k).to_vec(),
+                        vec![stream.province[k]],
+                        SubmitOptions::default(),
+                        Admission::Block,
+                    )
+                    .expect("accepted")
+                    .wait()
+                    .expect("scored");
                 assert_eq!(
                     scores[0], *reference,
                     "in-flight request disturbed at row {k}"
@@ -130,7 +138,14 @@ fn reloaded_bundle_actually_serves_subsequent_requests() {
     let engine = ScoringEngine::new(bundle.clone(), EngineConfig::default());
     let k = 0;
     let before = engine
-        .score_blocking(stream.row(k).to_vec(), vec![stream.province[k]])
+        .submit(
+            stream.row(k).to_vec(),
+            vec![stream.province[k]],
+            SubmitOptions::default(),
+            Admission::Block,
+        )
+        .expect("accepted")
+        .wait()
         .expect("scored");
     assert_eq!(before[0], offline[k]);
 
@@ -149,7 +164,14 @@ fn reloaded_bundle_actually_serves_subsequent_requests() {
         .reload(flat, stream.row(k), &[stream.province[k]])
         .expect("flat head passes probe");
     let after = engine
-        .score_blocking(stream.row(k).to_vec(), vec![stream.province[k]])
+        .submit(
+            stream.row(k).to_vec(),
+            vec![stream.province[k]],
+            SubmitOptions::default(),
+            Admission::Block,
+        )
+        .expect("accepted")
+        .wait()
         .expect("scored");
     assert_eq!(after[0], 0.5);
     engine.shutdown();
@@ -174,7 +196,12 @@ fn quarantined_rows_error_without_poisoning_batch_neighbors() {
     let mut poisoned = stream.row(0).to_vec();
     poisoned[0] = f32::NAN;
     let bad = engine
-        .submit(poisoned, vec![stream.province[0]])
+        .submit(
+            poisoned,
+            vec![stream.province[0]],
+            SubmitOptions::default(),
+            Admission::Block,
+        )
         .expect("accepted");
     let mut clean_f = Vec::with_capacity(3 * nf);
     let mut clean_e = Vec::new();
@@ -182,7 +209,9 @@ fn quarantined_rows_error_without_poisoning_batch_neighbors() {
         clean_f.extend_from_slice(stream.row(k));
         clean_e.push(stream.province[k]);
     }
-    let good = engine.submit(clean_f, clean_e).expect("accepted");
+    let good = engine
+        .submit(clean_f, clean_e, SubmitOptions::default(), Admission::Block)
+        .expect("accepted");
 
     assert_eq!(
         bad.wait().unwrap_err(),
@@ -219,7 +248,12 @@ fn prior_fallback_substitutes_instead_of_erroring() {
     features.extend_from_slice(stream.row(1));
     features[2] = f32::INFINITY; // poison row 0
     let p = engine
-        .submit(features, vec![stream.province[0], stream.province[1]])
+        .submit(
+            features,
+            vec![stream.province[0], stream.province[1]],
+            SubmitOptions::default(),
+            Admission::Block,
+        )
         .expect("accepted");
     let resp = p.wait_detailed().expect("prior fallback answers Ok");
     assert_eq!(resp.quarantined, vec![0]);

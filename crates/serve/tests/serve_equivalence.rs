@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use lightmirm_core::prelude::*;
 use lightmirm_core::trainers::TrainConfig;
-use lightmirm_serve::{EngineConfig, ScoringEngine, SubmitError};
+use lightmirm_serve::{Admission, EngineConfig, ScoringEngine, SubmitError, SubmitOptions};
 use loansim::{generate, temporal_split, GeneratorConfig, LoanFrame, ProvinceCatalog};
 
 /// Train a small LightMIRM bundle and keep the held-out 2020 stream plus
@@ -72,7 +72,16 @@ fn scores_through_engine(
             features.extend_from_slice(stream.row(k));
             env_ids.push(stream.province[k]);
         }
-        pending.push(engine.submit(features, env_ids).expect("accepted"));
+        pending.push(
+            engine
+                .submit(
+                    features,
+                    env_ids,
+                    SubmitOptions::default(),
+                    Admission::Block,
+                )
+                .expect("accepted"),
+        );
         r += n;
     }
     let mut scores = Vec::with_capacity(stream.len());
@@ -148,15 +157,36 @@ fn queue_full_backpressure_and_drain_on_shutdown() {
     let mut pending = Vec::new();
     for k in 0..8 {
         let (f, e) = one(k);
-        pending.push(engine.try_submit(f, e).expect("queue has space"));
+        pending.push(
+            engine
+                .submit(f, e, SubmitOptions::default(), Admission::Try)
+                .expect("queue has space"),
+        );
     }
     let (f, e) = one(8);
-    assert_eq!(engine.try_submit(f, e).unwrap_err(), SubmitError::QueueFull);
+    let rejected = engine
+        .submit(
+            f.clone(),
+            e.clone(),
+            SubmitOptions::default(),
+            Admission::Try,
+        )
+        .unwrap_err();
+    assert_eq!(rejected.error, SubmitError::QueueFull);
+    // The rejection hands the request's buffers back untouched.
+    assert_eq!(rejected.features, f);
+    assert_eq!(rejected.env_ids, e);
     let (f, e) = one(8);
     assert_eq!(
         engine
-            .try_submit(vec![0.0; 9 * nf], vec![0; 9])
-            .unwrap_err(),
+            .submit(
+                vec![0.0; 9 * nf],
+                vec![0; 9],
+                SubmitOptions::default(),
+                Admission::Try
+            )
+            .unwrap_err()
+            .error,
         SubmitError::RequestTooLarge {
             rows: 9,
             capacity: 8
@@ -164,13 +194,25 @@ fn queue_full_backpressure_and_drain_on_shutdown() {
     );
     // Malformed feature slices are rejected before queueing.
     assert!(matches!(
-        engine.try_submit(f[..nf - 1].to_vec(), e),
+        engine
+            .submit(
+                f[..nf - 1].to_vec(),
+                e,
+                SubmitOptions::default(),
+                Admission::Try
+            )
+            .map_err(|rejected| rejected.error),
         Err(SubmitError::Malformed { .. })
     ));
     // Zero-row requests answer immediately without occupying the queue.
     assert_eq!(
         engine
-            .submit(Vec::new(), Vec::new())
+            .submit(
+                Vec::new(),
+                Vec::new(),
+                SubmitOptions::default(),
+                Admission::Block
+            )
             .unwrap()
             .wait()
             .unwrap(),
@@ -217,7 +259,14 @@ fn blocking_submit_waits_for_space_instead_of_failing() {
                 let mut got = Vec::new();
                 for k in (t..n).step_by(4) {
                     let scores = engine
-                        .score_blocking(stream.row(k).to_vec(), vec![stream.province[k]])
+                        .submit(
+                            stream.row(k).to_vec(),
+                            vec![stream.province[k]],
+                            SubmitOptions::default(),
+                            Admission::Block,
+                        )
+                        .expect("accepted")
+                        .wait()
                         .expect("blocking submit succeeds");
                     got.push((k, scores[0]));
                 }
