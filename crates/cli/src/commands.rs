@@ -1214,13 +1214,13 @@ fn run_loadgen_replay(args: &ParsedArgs) -> Result<LoadgenRun, CliError> {
 /// --model model.json --out report.json [--shards N] [--submitters T]
 /// [--loadgen-events E] [--loadgen-seed S] [--trace-requests-out P]
 /// [--journal-out P] [--slo SPEC] [--tail-samples K]` — replay a
-/// deterministic synthetic trace (the same generator the `loadgen` bench
-/// bin drives) through the sharded front end and write aggregate
-/// throughput, p99 / p99.9 enqueue-to-reply latency, and the replay's
-/// score digest. The digest is a pure function of trace and bundle —
-/// identical across shard, worker, and submitter counts, and with
-/// request tracing on or off — so two runs can be diffed for determinism
-/// from the report alone.
+/// deterministic synthetic trace (`serve::loadgen::synthesize_trace`)
+/// through the sharded front end and write aggregate throughput, p99 /
+/// p99.9 enqueue-to-reply latency, and the replay's score digest. The
+/// digest is a pure function of trace and bundle — identical across
+/// shard, worker, and submitter counts, and with request tracing on or
+/// off — so two runs can be diffed for determinism from the report
+/// alone.
 ///
 /// `--trace-requests-out` writes the K slowest requests' stage
 /// decompositions (JSON for `.json` paths, flamegraph-collapsed text

@@ -33,8 +33,8 @@
 //!    epoch.
 //!
 //! Every dispatching kernel has an `_on` sibling taking an explicit
-//! [`Backend`], used by the bench harness and the bit-exactness suites to
-//! measure and compare both paths inside one process.
+//! [`Backend`], used by the bit-exactness suites to compare both paths
+//! inside one process.
 
 use crate::lr::sigmoid;
 use crate::simd::{self, sigmoid_softplus, AlignedVec, Backend, BLOCK_ROWS};

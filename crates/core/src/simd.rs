@@ -10,18 +10,15 @@
 //! - [`AlignedVec`] — a 64-byte-aligned `f64` buffer (one cache line /
 //!   one AVX-512 register) adopted by `ScratchPool`, so vector loads
 //!   never split cache lines;
-//! - [`BLOCK_ROWS`]-wide structure-of-arrays helpers —
-//!   [`accumulate_lanes`] sums gathered weight lanes column-wise with
-//!   [`BLOCK_ROWS`] independent accumulators (8-way ILP, auto-vectorized
-//!   to AVX adds), and [`axpy`] / [`axpy_neg`] are explicit lane-chunked
-//!   elementwise updates;
+//! - [`BLOCK_ROWS`]-wide structure-of-arrays helpers — [`axpy`] /
+//!   [`axpy_neg`] are explicit lane-chunked elementwise updates;
 //! - [`sigmoid_softplus`] — the fused forward nonlinearity that derives
 //!   `σ(z)` and `softplus(z)` from **one** `exp` (the scalar reference
 //!   computes two) while producing bit-identical values;
 //! - [`Backend`] selection — a `simd` cargo feature picks the compile-time
 //!   default, the `LIGHTMIRM_KERNEL` environment variable overrides it at
 //!   startup, and [`force_backend`] overrides both at runtime (used by
-//!   the bench harness to measure both paths in one process).
+//!   the bit-exactness suites to compare both paths in one process).
 //!
 //! # Determinism contract
 //!
@@ -256,16 +253,6 @@ pub enum Backend {
     Scalar,
 }
 
-impl Backend {
-    /// Stable lowercase name (`"simd"` / `"scalar"`) for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Simd => "simd",
-            Backend::Scalar => "scalar",
-        }
-    }
-}
-
 /// Runtime override: 0 = none, 1 = scalar, 2 = simd.
 static FORCED: AtomicU8 = AtomicU8::new(0);
 
@@ -307,9 +294,9 @@ pub fn backend() -> Backend {
 }
 
 /// Force every subsequent dispatching kernel call onto `b`, overriding
-/// the feature flag and the environment. Intended for benches and tests
-/// that compare both paths in one process; kernel calls already in
-/// flight keep the backend they resolved at entry.
+/// the feature flag and the environment. Intended for tests that compare
+/// both paths in one process; kernel calls already in flight keep the
+/// backend they resolved at entry.
 pub fn force_backend(b: Backend) {
     FORCED.store(
         match b {
@@ -344,26 +331,6 @@ pub fn sigmoid_softplus(z: f64) -> (f64, f64) {
     } else {
         let e = z.exp();
         (e / (1.0 + e), e.ln_1p())
-    }
-}
-
-/// Column-wise accumulation of gathered weight lanes: with `lanes` laid
-/// out `[nnz][BLOCK_ROWS]` (lane `j` of row `k` at `j * BLOCK_ROWS + k`),
-/// adds lane `j` into `acc[k]` for `j = 0..nnz` **in `j` order** — each
-/// row's additions follow the exact sequence of the scalar
-/// `dot_row`, so the result is bit-identical; only the eight rows
-/// proceed in parallel (independent accumulators → vector adds).
-///
-/// # Panics
-///
-/// Panics (debug) when `lanes.len()` is not `nnz * BLOCK_ROWS`.
-#[inline]
-pub fn accumulate_lanes(lanes: &[f64], acc: &mut [f64; BLOCK_ROWS]) {
-    debug_assert!(lanes.len().is_multiple_of(BLOCK_ROWS));
-    for lane in lanes.chunks_exact(BLOCK_ROWS) {
-        for k in 0..BLOCK_ROWS {
-            acc[k] += lane[k];
-        }
     }
 }
 
@@ -489,24 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_lanes_matches_sequential_dot_order() {
-        // lanes[j][k] summed in j order must equal the scalar fold.
-        let nnz = 5;
-        let lanes: Vec<f64> = (0..nnz * BLOCK_ROWS)
-            .map(|i| (i as f64) * 0.1 - 1.7)
-            .collect();
-        let mut acc = [0.0; BLOCK_ROWS];
-        accumulate_lanes(&lanes, &mut acc);
-        for k in 0..BLOCK_ROWS {
-            let mut reference = 0.0;
-            for j in 0..nnz {
-                reference += lanes[j * BLOCK_ROWS + k];
-            }
-            assert_eq!(acc[k].to_bits(), reference.to_bits(), "row {k}");
-        }
-    }
-
-    #[test]
     fn axpy_matches_scalar_loop_bitwise() {
         let x: Vec<f64> = (0..19).map(|i| (i as f64) * 0.3 - 2.0).collect();
         let mut out: Vec<f64> = (0..19).map(|i| 1.0 / (i as f64 + 1.0)).collect();
@@ -530,10 +479,8 @@ mod tests {
         let initial = backend();
         force_backend(Backend::Scalar);
         assert_eq!(backend(), Backend::Scalar);
-        assert_eq!(backend().name(), "scalar");
         force_backend(Backend::Simd);
         assert_eq!(backend(), Backend::Simd);
-        assert_eq!(backend().name(), "simd");
         clear_forced_backend();
         assert_eq!(backend(), initial);
     }

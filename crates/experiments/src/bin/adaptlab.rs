@@ -26,8 +26,8 @@ use lightmirm_core::prelude::*;
 use lightmirm_experiments::{write_json, ExpConfig};
 use lightmirm_metrics::rank::auc;
 use lightmirm_serve::{
-    AdaptConfig, Admission, EngineConfig, FeedConfig, LabelFeed, MonitorConfig,
-    PromotionController, ScoringEngine, SubmitOptions,
+    AdaptConfig, EngineConfig, FeedConfig, LabelFeed, MonitorConfig, PromotionController,
+    ShardConfig, ShardedEngine, SubmitOptions,
 };
 use loansim::{generate, temporal_split, GeneratorConfig, ProvinceCatalog};
 
@@ -129,26 +129,31 @@ fn main() {
     let lost = clean_auc - degraded_auc;
 
     // The adaptive replay: serve chunks, feed labels, step the
-    // controller — the CLI's `serve-replay --adapt` loop in miniature.
-    let engine = ScoringEngine::new(
-        bundle.clone(),
-        EngineConfig {
-            max_batch: 128,
-            max_wait: Duration::from_millis(1),
-            queue_capacity: 1 << 20,
-            workers: 2,
-            monitor: Some(MonitorConfig {
-                window: 1 << 16,
-                min_samples: 64,
-                check_every: 128,
-                n_buckets: 10,
-            }),
-            ..EngineConfig::default()
+    // controller — the CLI's `serve-replay --adapt` loop in miniature,
+    // through the same one-shard front end.
+    let engine = ShardedEngine::new(
+        &bundle,
+        &ShardConfig {
+            shards: 1,
+            engine: EngineConfig {
+                max_batch: 128,
+                max_wait: Duration::from_millis(1),
+                queue_capacity: 1 << 20,
+                workers: 2,
+                monitor: Some(MonitorConfig {
+                    window: 1 << 16,
+                    min_samples: 64,
+                    check_every: 128,
+                    n_buckets: 10,
+                }),
+                ..EngineConfig::default()
+            },
+            ..ShardConfig::default()
         },
     );
     let feed = LabelFeed::new(nf, FeedConfig::default());
     let mut controller = PromotionController::new(
-        engine.bundle(),
+        engine.shard(0).bundle(),
         AdaptConfig {
             min_rows: 256,
             train: cfg.train_config(),
@@ -162,20 +167,19 @@ fn main() {
     let mut r = 0usize;
     while r < s_envs.len() {
         let n = chunk.min(s_envs.len() - r);
-        engine
+        let (_, pending) = engine
             .submit(
+                s_envs[r],
                 s_feats[r * nf..(r + n) * nf].to_vec(),
                 s_envs[r..r + n].to_vec(),
                 SubmitOptions::default(),
-                Admission::Block,
             )
-            .expect("accepted")
-            .wait()
-            .expect("scored");
+            .expect("accepted");
+        pending.wait().expect("scored");
         for k in r..r + n {
             feed.push(s_envs[k], &s_feats[k * nf..(k + 1) * nf], s_labels[k]);
         }
-        controller.step(&engine, &feed);
+        controller.step(engine.shard(0), &feed);
         r += n;
     }
 

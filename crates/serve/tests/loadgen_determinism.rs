@@ -178,15 +178,13 @@ fn request_tracing_keeps_sharded_replay_bit_identical_on_both_backends() {
             let (off, off_stats, off_tails) = replay_traced(&bundle, &tc, shards, 2, false);
             assert!(
                 off_tails.is_empty(),
-                "tracing off must sample nothing on {} backend",
-                backend.name()
+                "tracing off must sample nothing on {backend:?} backend"
             );
             let (on, on_stats, tails) = replay_traced(&bundle, &tc, shards, 2, true);
             assert_eq!(
                 on.score_digest(),
                 off.score_digest(),
-                "tracing perturbed scores with {shards} shards on {} backend",
-                backend.name()
+                "tracing perturbed scores with {shards} shards on {backend:?} backend"
             );
             for (e, (a, b)) in off.scores.iter().zip(&on.scores).enumerate() {
                 for k in 0..a.len() {

@@ -226,14 +226,12 @@ fn sharded_scores_are_bit_identical_to_single_engine_on_both_backends() {
                     sharded[k].to_bits(),
                     single[k].to_bits(),
                     "row {k} differs between {shards}x{workers} and single engine \
-                     on {} backend",
-                    backend.name()
+                     on {backend:?} backend"
                 );
                 assert_eq!(
                     sharded[k].to_bits(),
                     offline[k].to_bits(),
-                    "row {k} drifted from offline on {} backend",
-                    backend.name()
+                    "row {k} drifted from offline on {backend:?} backend"
                 );
             }
         }
