@@ -10,16 +10,15 @@
 //!    same logit twice), and [`env_loss_grad_cached`] additionally records
 //!    the per-row logits so the outer-loop HVP at the same `θ` can skip
 //!    its own logit pass via [`hvp_from_logits`];
-//! 2. **Vectorized row-block execution** — the default
-//!    [`crate::simd::Backend::Simd`] backend walks each chunk in
+//! 2. **Vectorized row-block execution** — each chunk is walked in
 //!    [`crate::simd::BLOCK_ROWS`]-row blocks: the per-row `θᵀx` sums run
 //!    as eight independent accumulator chains, all eight rows advanced
 //!    one active column per step ([`MultiHotMatrix::dot_block`]) —
-//!    vector adds across rows, with a scalar tail for the last
-//!    `rows.len() % BLOCK_ROWS` rows. Per-row
-//!    operation sequences are unchanged, so the blocked kernels are
-//!    **bit-identical** to the scalar backend and to the serial reference
-//!    in [`crate::lr`] (see [`crate::simd`] for the contract, and
+//!    vector adds across rows, with a per-row tail for the last
+//!    `rows.len() % BLOCK_ROWS` rows. Per-row operation sequences are
+//!    unchanged, so on a single chunk the kernels are **bit-identical**
+//!    to the serial reference in [`crate::lr`], their one oracle (see
+//!    [`crate::simd`] for the contract, and
 //!    `crates/core/tests/simd_kernels.rs` for the proof);
 //! 3. **Deterministic chunked execution** — every reduction splits the row
 //!    slice at fixed [`CHUNK_ROWS`] boundaries, accumulates each chunk
@@ -31,13 +30,9 @@
 //!    HVP, logit cache) — all 64-byte-aligned [`AlignedVec`]s — so the
 //!    env-parallel trainers allocate once per `fit` instead of once per
 //!    epoch.
-//!
-//! Every dispatching kernel has an `_on` sibling taking an explicit
-//! [`Backend`], used by the bit-exactness suites to compare both paths
-//! inside one process.
 
 use crate::lr::sigmoid;
-use crate::simd::{self, sigmoid_softplus, AlignedVec, Backend, BLOCK_ROWS};
+use crate::simd::{sigmoid_softplus, AlignedVec, BLOCK_ROWS};
 use crate::sparse::MultiHotMatrix;
 use rayon::prelude::*;
 
@@ -81,58 +76,14 @@ fn softplus(z: f64) -> f64 {
     }
 }
 
-/// One chunk of the fused forward+backward pass on the selected backend:
-/// accumulates the unnormalized loss sum and the `inv_n`-scaled gradient
-/// over `chunk_rows`, optionally recording each row's logit.
-#[allow(clippy::too_many_arguments)]
+/// One chunk of the fused forward+backward pass: accumulates the
+/// unnormalized loss sum and the `inv_n`-scaled gradient over
+/// `chunk_rows`, optionally recording each row's logit. Eight rows' dots
+/// run as independent accumulator chains ([`MultiHotMatrix::dot_block`]),
+/// then each row is finished **in row order** (loss accumulation and
+/// gradient scatter), so the fp operation sequence matches the serial
+/// [`crate::lr`] pair exactly.
 fn fused_chunk(
-    backend: Backend,
-    theta: &[f64],
-    x: &MultiHotMatrix,
-    labels: &[u8],
-    chunk_rows: &[u32],
-    inv_n: f64,
-    grad: &mut [f64],
-    logits: Option<&mut [f64]>,
-) -> f64 {
-    match backend {
-        Backend::Simd => fused_chunk_blocked(theta, x, labels, chunk_rows, inv_n, grad, logits),
-        Backend::Scalar => fused_chunk_scalar(theta, x, labels, chunk_rows, inv_n, grad, logits),
-    }
-}
-
-/// Portable per-row backend (PR 1's loop, with the shared-`exp` forward).
-fn fused_chunk_scalar(
-    theta: &[f64],
-    x: &MultiHotMatrix,
-    labels: &[u8],
-    chunk_rows: &[u32],
-    inv_n: f64,
-    grad: &mut [f64],
-    mut logits: Option<&mut [f64]>,
-) -> f64 {
-    let mut total = 0.0;
-    for (k, &r) in chunk_rows.iter().enumerate() {
-        let r = r as usize;
-        let z = x.dot_row(r, theta);
-        if let Some(ls) = logits.as_deref_mut() {
-            ls[k] = z;
-        }
-        let y = labels[r] as f64;
-        // Stable BCE-with-logits (softplus(z) − y z) and σ(z) from one exp.
-        let (sig, sp) = sigmoid_softplus(z);
-        total += sp - y * z;
-        let coef = (sig - y) * inv_n;
-        x.scatter_add(r, coef, grad);
-    }
-    total
-}
-
-/// Row-block backend: gather eight rows' weights into aligned lanes, sum
-/// them with eight independent accumulators, then finish each row **in
-/// row order** (loss accumulation and gradient scatter), so the fp
-/// operation sequence matches [`fused_chunk_scalar`] exactly.
-fn fused_chunk_blocked(
     theta: &[f64],
     x: &MultiHotMatrix,
     labels: &[u8],
@@ -153,6 +104,7 @@ fn fused_chunk_blocked(
                 ls[base + k] = z;
             }
             let y = labels[r] as f64;
+            // Stable BCE-with-logits (softplus(z) − y z) and σ(z) from one exp.
             let (sig, sp) = sigmoid_softplus(z);
             total += sp - y * z;
             let coef = (sig - y) * inv_n;
@@ -191,31 +143,17 @@ fn finish_loss_grad(total: f64, n_rows: usize, theta: &[f64], reg: f64, grad: &m
 
 /// Fused `env_loss` + `env_grad`: one logit evaluation per row feeds both
 /// the loss sum and the gradient scatter. Returns the loss; writes the
-/// gradient into `grad_out` (zeroed first). Dispatches to the backend
-/// selected by [`crate::simd::backend`].
+/// gradient into `grad_out` (zeroed first).
 ///
 /// Rows are processed in fixed [`CHUNK_ROWS`] chunks, in parallel, with
 /// the chunk partials merged in chunk order — the result is bit-identical
-/// for any thread count and either backend, and for
-/// `rows.len() <= CHUNK_ROWS` bit-identical to the serial reference pair.
+/// for any thread count, and for `rows.len() <= CHUNK_ROWS` bit-identical
+/// to the serial reference pair.
 ///
 /// # Panics
 ///
 /// Panics when `rows` is empty — callers must skip empty environments.
 pub fn env_loss_grad(
-    theta: &[f64],
-    x: &MultiHotMatrix,
-    labels: &[u8],
-    rows: &[u32],
-    reg: f64,
-    grad_out: &mut [f64],
-) -> f64 {
-    env_loss_grad_on(simd::backend(), theta, x, labels, rows, reg, grad_out)
-}
-
-/// [`env_loss_grad`] on an explicit [`Backend`].
-pub fn env_loss_grad_on(
-    backend: Backend,
     theta: &[f64],
     x: &MultiHotMatrix,
     labels: &[u8],
@@ -233,14 +171,14 @@ pub fn env_loss_grad_on(
     };
     let inv_n = 1.0 / rows.len() as f64;
     let loss = if rows.len() <= CHUNK_ROWS {
-        let total = fused_chunk(backend, theta, x, labels, rows, inv_n, grad_out, None);
+        let total = fused_chunk(theta, x, labels, rows, inv_n, grad_out, None);
         finish_loss_grad(total, rows.len(), theta, reg, grad_out)
     } else {
         let partials: Vec<(f64, AlignedVec)> = rows
             .par_chunks(CHUNK_ROWS)
             .map(|chunk| {
                 let mut g = AlignedVec::zeroed(theta.len());
-                let s = fused_chunk(backend, theta, x, labels, chunk, inv_n, &mut g, None);
+                let s = fused_chunk(theta, x, labels, chunk, inv_n, &mut g, None);
                 (s, g)
             })
             .collect();
@@ -271,30 +209,6 @@ pub fn env_loss_grad_cached(
     grad_out: &mut [f64],
     logits_out: &mut [f64],
 ) -> f64 {
-    env_loss_grad_cached_on(
-        simd::backend(),
-        theta,
-        x,
-        labels,
-        rows,
-        reg,
-        grad_out,
-        logits_out,
-    )
-}
-
-/// [`env_loss_grad_cached`] on an explicit [`Backend`].
-#[allow(clippy::too_many_arguments)]
-pub fn env_loss_grad_cached_on(
-    backend: Backend,
-    theta: &[f64],
-    x: &MultiHotMatrix,
-    labels: &[u8],
-    rows: &[u32],
-    reg: f64,
-    grad_out: &mut [f64],
-    logits_out: &mut [f64],
-) -> f64 {
     assert!(!rows.is_empty(), "loss over an empty environment");
     assert_eq!(
         logits_out.len(),
@@ -310,16 +224,7 @@ pub fn env_loss_grad_cached_on(
     };
     let inv_n = 1.0 / rows.len() as f64;
     let loss = if rows.len() <= CHUNK_ROWS {
-        let total = fused_chunk(
-            backend,
-            theta,
-            x,
-            labels,
-            rows,
-            inv_n,
-            grad_out,
-            Some(logits_out),
-        );
+        let total = fused_chunk(theta, x, labels, rows, inv_n, grad_out, Some(logits_out));
         finish_loss_grad(total, rows.len(), theta, reg, grad_out)
     } else {
         let partials: Vec<(f64, AlignedVec)> = rows
@@ -327,16 +232,7 @@ pub fn env_loss_grad_cached_on(
             .zip(logits_out.par_chunks_mut(CHUNK_ROWS))
             .map(|(chunk, lchunk)| {
                 let mut g = AlignedVec::zeroed(theta.len());
-                let s = fused_chunk(
-                    backend,
-                    theta,
-                    x,
-                    labels,
-                    chunk,
-                    inv_n,
-                    &mut g,
-                    Some(lchunk),
-                );
+                let s = fused_chunk(theta, x, labels, chunk, inv_n, &mut g, Some(lchunk));
                 (s, g)
             })
             .collect();
@@ -370,49 +266,24 @@ fn merge_partials(partials: Vec<(f64, AlignedVec)>, out: &mut [f64]) -> f64 {
 ///
 /// Panics when `rows` is empty.
 pub fn env_loss(theta: &[f64], x: &MultiHotMatrix, labels: &[u8], rows: &[u32], reg: f64) -> f64 {
-    env_loss_on(simd::backend(), theta, x, labels, rows, reg)
-}
-
-/// [`env_loss`] on an explicit [`Backend`].
-pub fn env_loss_on(
-    backend: Backend,
-    theta: &[f64],
-    x: &MultiHotMatrix,
-    labels: &[u8],
-    rows: &[u32],
-    reg: f64,
-) -> f64 {
     assert!(!rows.is_empty(), "loss over an empty environment");
     let loss_chunk = |chunk: &[u32]| -> f64 {
-        match backend {
-            Backend::Simd => {
-                let mut total = 0.0;
-                let mut blocks = chunk.chunks_exact(BLOCK_ROWS);
-                for block in &mut blocks {
-                    let mut zs = [0.0; BLOCK_ROWS];
-                    x.dot_block(block, theta, &mut zs);
-                    for (&r, &z) in block.iter().zip(&zs) {
-                        let y = labels[r as usize] as f64;
-                        total += softplus(z) - y * z;
-                    }
-                }
-                for &r in blocks.remainder() {
-                    let z = x.dot_row(r as usize, theta);
-                    let y = labels[r as usize] as f64;
-                    total += softplus(z) - y * z;
-                }
-                total
-            }
-            Backend::Scalar => {
-                let mut total = 0.0;
-                for &r in chunk {
-                    let z = x.dot_row(r as usize, theta);
-                    let y = labels[r as usize] as f64;
-                    total += softplus(z) - y * z;
-                }
-                total
+        let mut total = 0.0;
+        let mut blocks = chunk.chunks_exact(BLOCK_ROWS);
+        for block in &mut blocks {
+            let mut zs = [0.0; BLOCK_ROWS];
+            x.dot_block(block, theta, &mut zs);
+            for (&r, &z) in block.iter().zip(&zs) {
+                let y = labels[r as usize] as f64;
+                total += softplus(z) - y * z;
             }
         }
+        for &r in blocks.remainder() {
+            let z = x.dot_row(r as usize, theta);
+            let y = labels[r as usize] as f64;
+            total += softplus(z) - y * z;
+        }
+        total
     };
     let total = if rows.len() <= CHUNK_ROWS {
         loss_chunk(rows)
@@ -441,49 +312,26 @@ pub fn env_grad(
     reg: f64,
     out: &mut [f64],
 ) {
-    env_grad_on(simd::backend(), theta, x, labels, rows, reg, out)
-}
-
-/// [`env_grad`] on an explicit [`Backend`].
-pub fn env_grad_on(
-    backend: Backend,
-    theta: &[f64],
-    x: &MultiHotMatrix,
-    labels: &[u8],
-    rows: &[u32],
-    reg: f64,
-    out: &mut [f64],
-) {
     assert!(!rows.is_empty(), "gradient over an empty environment");
     debug_assert_eq!(out.len(), theta.len());
     out.fill(0.0);
     let inv_n = 1.0 / rows.len() as f64;
-    let grad_chunk = |chunk: &[u32], g: &mut [f64]| match backend {
-        Backend::Simd => {
-            let mut blocks = chunk.chunks_exact(BLOCK_ROWS);
-            for block in &mut blocks {
-                let mut zs = [0.0; BLOCK_ROWS];
-                x.dot_block(block, theta, &mut zs);
-                for (&r, &z) in block.iter().zip(&zs) {
-                    let r = r as usize;
-                    let coef = (sigmoid(z) - labels[r] as f64) * inv_n;
-                    x.scatter_add(r, coef, g);
-                }
-            }
-            for &r in blocks.remainder() {
+    let grad_chunk = |chunk: &[u32], g: &mut [f64]| {
+        let mut blocks = chunk.chunks_exact(BLOCK_ROWS);
+        for block in &mut blocks {
+            let mut zs = [0.0; BLOCK_ROWS];
+            x.dot_block(block, theta, &mut zs);
+            for (&r, &z) in block.iter().zip(&zs) {
                 let r = r as usize;
-                let z = x.dot_row(r, theta);
                 let coef = (sigmoid(z) - labels[r] as f64) * inv_n;
                 x.scatter_add(r, coef, g);
             }
         }
-        Backend::Scalar => {
-            for &r in chunk {
-                let r = r as usize;
-                let z = x.dot_row(r, theta);
-                let coef = (sigmoid(z) - labels[r] as f64) * inv_n;
-                x.scatter_add(r, coef, g);
-            }
+        for &r in blocks.remainder() {
+            let r = r as usize;
+            let z = x.dot_row(r, theta);
+            let coef = (sigmoid(z) - labels[r] as f64) * inv_n;
+            x.scatter_add(r, coef, g);
         }
     };
     if rows.len() <= CHUNK_ROWS {
@@ -512,7 +360,8 @@ pub fn env_grad_on(
 
 /// Hessian-vector product reusing cached logits: with `zᵢ = θᵀxᵢ` already
 /// known, `H·v = 1/n Σ σ(zᵢ)(1−σ(zᵢ))(xᵢᵀv) xᵢ + reg·v` needs only the
-/// `xᵢᵀv` pass — half the sparse reads of [`crate::lr::env_hvp`].
+/// `xᵢᵀv` pass — half the sparse reads of [`crate::lr::env_hvp`], which it
+/// matches bit-for-bit on a single chunk.
 ///
 /// `logits` must be position-aligned with `rows` (as produced by
 /// [`env_loss_grad_cached`] at the same `θ`).
@@ -521,19 +370,6 @@ pub fn env_grad_on(
 ///
 /// Panics when `rows` is empty or `logits.len() != rows.len()`.
 pub fn hvp_from_logits(
-    logits: &[f64],
-    x: &MultiHotMatrix,
-    rows: &[u32],
-    reg: f64,
-    v: &[f64],
-    out: &mut [f64],
-) {
-    hvp_from_logits_on(simd::backend(), logits, x, rows, reg, v, out)
-}
-
-/// [`hvp_from_logits`] on an explicit [`Backend`].
-pub fn hvp_from_logits_on(
-    backend: Backend,
     logits: &[f64],
     x: &MultiHotMatrix,
     rows: &[u32],
@@ -550,36 +386,25 @@ pub fn hvp_from_logits_on(
     debug_assert_eq!(out.len(), v.len());
     out.fill(0.0);
     let inv_n = 1.0 / rows.len() as f64;
-    let hvp_chunk = |chunk: &[u32], lchunk: &[f64], h: &mut [f64]| match backend {
-        Backend::Simd => {
-            let mut blocks = chunk.chunks_exact(BLOCK_ROWS);
-            let mut lblocks = lchunk.chunks_exact(BLOCK_ROWS);
-            for (block, lblock) in (&mut blocks).zip(&mut lblocks) {
-                let mut xvs = [0.0; BLOCK_ROWS];
-                x.dot_block(block, v, &mut xvs);
-                for ((&r, &z), &xv) in block.iter().zip(lblock).zip(&xvs) {
-                    let r = r as usize;
-                    let p = sigmoid(z);
-                    let coef = p * (1.0 - p) * xv * inv_n;
-                    x.scatter_add(r, coef, h);
-                }
-            }
-            for (&r, &z) in blocks.remainder().iter().zip(lblocks.remainder()) {
+    let hvp_chunk = |chunk: &[u32], lchunk: &[f64], h: &mut [f64]| {
+        let mut blocks = chunk.chunks_exact(BLOCK_ROWS);
+        let mut lblocks = lchunk.chunks_exact(BLOCK_ROWS);
+        for (block, lblock) in (&mut blocks).zip(&mut lblocks) {
+            let mut xvs = [0.0; BLOCK_ROWS];
+            x.dot_block(block, v, &mut xvs);
+            for ((&r, &z), &xv) in block.iter().zip(lblock).zip(&xvs) {
                 let r = r as usize;
                 let p = sigmoid(z);
-                let xv = x.dot_row(r, v);
                 let coef = p * (1.0 - p) * xv * inv_n;
                 x.scatter_add(r, coef, h);
             }
         }
-        Backend::Scalar => {
-            for (&r, &z) in chunk.iter().zip(lchunk) {
-                let r = r as usize;
-                let p = sigmoid(z);
-                let xv = x.dot_row(r, v);
-                let coef = p * (1.0 - p) * xv * inv_n;
-                x.scatter_add(r, coef, h);
-            }
+        for (&r, &z) in blocks.remainder().iter().zip(lblocks.remainder()) {
+            let r = r as usize;
+            let p = sigmoid(z);
+            let xv = x.dot_row(r, v);
+            let coef = p * (1.0 - p) * xv * inv_n;
+            x.scatter_add(r, coef, h);
         }
     };
     if rows.len() <= CHUNK_ROWS {
@@ -608,30 +433,18 @@ pub fn hvp_from_logits_on(
 }
 
 /// Batch scoring: `out[k] = σ(θᵀx[rows[k]])`, row chunks in parallel.
-/// Purely elementwise, so neither parallelism nor the backend can affect
-/// the values: the blocked path computes the dots through the same
-/// blocked gather the serve engine and offline predict share
-/// ([`MultiHotMatrix::dot_rows_into`]), then applies the identical
-/// sigmoid per row.
+/// Purely elementwise, so parallelism cannot affect the values: the dots
+/// run through the same blocked loop the serve engine and offline predict
+/// share ([`MultiHotMatrix::dot_rows_into`]), then the identical sigmoid
+/// per row.
 ///
 /// # Panics
 ///
 /// Panics when `out.len() != rows.len()`.
 pub fn predict_rows_into(theta: &[f64], x: &MultiHotMatrix, rows: &[u32], out: &mut [f64]) {
-    predict_rows_into_on(simd::backend(), theta, x, rows, out)
-}
-
-/// [`predict_rows_into`] on an explicit [`Backend`].
-pub fn predict_rows_into_on(
-    backend: Backend,
-    theta: &[f64],
-    x: &MultiHotMatrix,
-    rows: &[u32],
-    out: &mut [f64],
-) {
     assert_eq!(out.len(), rows.len(), "output must match the row count");
     let score_chunk = |chunk: &[u32], ochunk: &mut [f64]| {
-        x.dot_rows_into_on(backend, chunk, theta, ochunk);
+        x.dot_rows_into(chunk, theta, ochunk);
         for o in ochunk.iter_mut() {
             *o = sigmoid(*o);
         }
@@ -759,18 +572,15 @@ mod tests {
     fn fused_matches_separate_exactly_on_one_chunk() {
         let (x, y, theta) = instance(300, 16, 7);
         let rows = all_rows(300);
-        for backend in [Backend::Simd, Backend::Scalar] {
-            for reg in [0.0, 0.3] {
-                let mut fused_grad = vec![0.0; 16];
-                let fused_loss =
-                    env_loss_grad_on(backend, &theta, &x, &y, &rows, reg, &mut fused_grad);
-                let sep_loss = lr::env_loss(&theta, &x, &y, &rows, reg);
-                let mut sep_grad = vec![0.0; 16];
-                lr::env_grad(&theta, &x, &y, &rows, reg, &mut sep_grad);
-                // Single chunk: the exact same fp operation sequence.
-                assert_eq!(fused_loss, sep_loss, "{backend:?}");
-                assert_eq!(fused_grad, sep_grad, "{backend:?}");
-            }
+        for reg in [0.0, 0.3] {
+            let mut fused_grad = vec![0.0; 16];
+            let fused_loss = env_loss_grad(&theta, &x, &y, &rows, reg, &mut fused_grad);
+            let sep_loss = lr::env_loss(&theta, &x, &y, &rows, reg);
+            let mut sep_grad = vec![0.0; 16];
+            lr::env_grad(&theta, &x, &y, &rows, reg, &mut sep_grad);
+            // Single chunk: the exact same fp operation sequence.
+            assert_eq!(fused_loss, sep_loss);
+            assert_eq!(fused_grad, sep_grad);
         }
     }
 
@@ -788,39 +598,6 @@ mod tests {
         for (a, b) in fused_grad.iter().zip(&sep_grad) {
             assert!((a - b).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn simd_and_scalar_backends_are_bitwise_identical() {
-        // 9,000 rows: multiple chunks, and a tail not divisible by 8.
-        let (x, y, theta) = instance(9_003, 24, 19);
-        let rows = all_rows(9_003);
-        let v: Vec<f64> = (0..24).map(|i| 0.1 * i as f64 - 1.0).collect();
-        let run = |backend: Backend| {
-            let mut grad = vec![0.0; 24];
-            let mut logits = vec![0.0; rows.len()];
-            let loss = env_loss_grad_cached_on(
-                backend,
-                &theta,
-                &x,
-                &y,
-                &rows,
-                0.05,
-                &mut grad,
-                &mut logits,
-            );
-            let mut hvp = vec![0.0; 24];
-            hvp_from_logits_on(backend, &logits, &x, &rows, 0.05, &v, &mut hvp);
-            let mut preds = vec![0.0; rows.len()];
-            predict_rows_into_on(backend, &theta, &x, &rows, &mut preds);
-            let mut g2 = vec![0.0; 24];
-            env_grad_on(backend, &theta, &x, &y, &rows, 0.05, &mut g2);
-            let l2 = env_loss_on(backend, &theta, &x, &y, &rows, 0.05);
-            (loss, grad, logits, hvp, preds, g2, l2)
-        };
-        let simd = run(Backend::Simd);
-        let scalar = run(Backend::Scalar);
-        assert_eq!(simd, scalar);
     }
 
     #[test]
@@ -865,29 +642,23 @@ mod tests {
         env_loss_grad_cached(&theta, &x, &y, &rows, 0.2, &mut grad, &mut logits);
         let mut reference = vec![0.0; 12];
         lr::env_hvp(&theta, &x, &y, &rows, 0.2, &v, &mut reference);
-        for backend in [Backend::Simd, Backend::Scalar] {
-            let mut cached = vec![0.0; 12];
-            hvp_from_logits_on(backend, &logits, &x, &rows, 0.2, &v, &mut cached);
-            assert_eq!(cached, reference, "{backend:?}");
-        }
+        let mut cached = vec![0.0; 12];
+        hvp_from_logits(&logits, &x, &rows, 0.2, &v, &mut cached);
+        assert_eq!(cached, reference);
     }
 
     #[test]
     fn chunked_loss_and_grad_match_reference() {
         let (x, y, theta) = instance(6_000, 20, 13);
         let rows = all_rows(6_000);
-        for backend in [Backend::Simd, Backend::Scalar] {
-            assert!((env_loss_on(backend, &theta, &x, &y, &rows, 0.1)
-                - lr::env_loss(&theta, &x, &y, &rows, 0.1))
-            .abs()
-            .le(&1e-12));
-            let mut chunked = vec![0.0; 20];
-            env_grad_on(backend, &theta, &x, &y, &rows, 0.1, &mut chunked);
-            let mut reference = vec![0.0; 20];
-            lr::env_grad(&theta, &x, &y, &rows, 0.1, &mut reference);
-            for (a, b) in chunked.iter().zip(&reference) {
-                assert!((a - b).abs() < 1e-12, "{backend:?}");
-            }
+        let chunked_loss = env_loss(&theta, &x, &y, &rows, 0.1);
+        assert!((chunked_loss - lr::env_loss(&theta, &x, &y, &rows, 0.1)).abs() < 1e-12);
+        let mut chunked = vec![0.0; 20];
+        env_grad(&theta, &x, &y, &rows, 0.1, &mut chunked);
+        let mut reference = vec![0.0; 20];
+        lr::env_grad(&theta, &x, &y, &rows, 0.1, &mut reference);
+        for (a, b) in chunked.iter().zip(&reference) {
+            assert!((a - b).abs() < 1e-12);
         }
     }
 
@@ -959,18 +730,15 @@ mod tests {
             #[test]
             fn fused_equals_separate((x, y, theta) in strat()) {
                 let rows: Vec<u32> = (0..x.n_rows() as u32).collect();
-                for backend in [Backend::Simd, Backend::Scalar] {
-                    for reg in [0.0, 0.25] {
-                        let mut fused_grad = vec![0.0; theta.len()];
-                        let fused_loss =
-                            env_loss_grad_on(backend, &theta, &x, &y, &rows, reg, &mut fused_grad);
-                        let sep_loss = lr::env_loss(&theta, &x, &y, &rows, reg);
-                        let mut sep_grad = vec![0.0; theta.len()];
-                        lr::env_grad(&theta, &x, &y, &rows, reg, &mut sep_grad);
-                        prop_assert!((fused_loss - sep_loss).abs() < 1e-12);
-                        for (a, b) in fused_grad.iter().zip(&sep_grad) {
-                            prop_assert!((a - b).abs() < 1e-12);
-                        }
+                for reg in [0.0, 0.25] {
+                    let mut fused_grad = vec![0.0; theta.len()];
+                    let fused_loss = env_loss_grad(&theta, &x, &y, &rows, reg, &mut fused_grad);
+                    let sep_loss = lr::env_loss(&theta, &x, &y, &rows, reg);
+                    let mut sep_grad = vec![0.0; theta.len()];
+                    lr::env_grad(&theta, &x, &y, &rows, reg, &mut sep_grad);
+                    prop_assert!((fused_loss - sep_loss).abs() < 1e-12);
+                    for (a, b) in fused_grad.iter().zip(&sep_grad) {
+                        prop_assert!((a - b).abs() < 1e-12);
                     }
                 }
             }

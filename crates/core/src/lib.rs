@@ -9,8 +9,8 @@
 //!   single-pass loss+gradient, a logit-caching HVP, and fixed-chunk
 //!   ordered reductions that keep results bit-identical for any thread
 //!   count, executed by vectorized row-block inner loops over 64-byte
-//!   aligned scratch ([`simd`]) that stay bit-identical to the scalar
-//!   backend;
+//!   aligned scratch ([`simd`]) that stay bit-identical to the serial
+//!   [`lr`] kernels on a single chunk;
 //! - **environment-partitioned datasets** ([`mod@env`]);
 //! - the **trainers** of the paper's evaluation ([`trainers`]): ERM,
 //!   ERM + per-province fine-tuning, environment up-sampling, Group DRO,
@@ -61,7 +61,6 @@ pub mod hash;
 pub mod kernels;
 pub mod lr;
 pub mod mrq;
-pub mod nonlinear;
 pub mod obs;
 pub mod online;
 pub mod pipeline;
@@ -86,7 +85,6 @@ pub mod prelude {
     };
     pub use crate::lr::{env_grad, env_hvp, env_loss, sigmoid, LrModel};
     pub use crate::mrq::MetaReplayQueue;
-    pub use crate::nonlinear::{light_mirm_generic, EnvObjective, LinearObjective, MlpModel};
     pub use crate::obs::{
         Counter, Gauge, HistogramHandle, MetricKey, MetricValue, MetricsRegistry, MetricsSnapshot,
     };
@@ -95,7 +93,7 @@ pub mod prelude {
     };
     pub use crate::pipeline::{FeatureExtractor, FeatureExtractorConfig, PipelineError};
     pub use crate::sem::SemSpec;
-    pub use crate::simd::{AlignedVec, Backend, ALIGNMENT, BLOCK_ROWS};
+    pub use crate::simd::{AlignedVec, ALIGNMENT, BLOCK_ROWS};
     pub use crate::sparse::MultiHotMatrix;
     pub use crate::timing::{Histogram, OpCounter, Step, StepTimer};
     pub use crate::trainers::{

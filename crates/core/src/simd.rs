@@ -1,10 +1,10 @@
-//! SIMD row-block kernel support: aligned storage, backend dispatch, and
-//! the shared vectorizable primitives of the LR hot path.
+//! SIMD row-block kernel support: aligned storage and the shared
+//! vectorizable primitives of the LR hot path.
 //!
-//! The scalar kernels in [`crate::lr`] process one row at a time; every
+//! The serial kernels in [`crate::lr`] process one row at a time; every
 //! row's `θᵀx` is a chain of `nnz_per_row` dependent additions, so the
 //! CPU spends the whole loop waiting on add latency. This module provides
-//! the building blocks for the **row-block** rewrite in
+//! the building blocks for the **row-block** kernels in
 //! [`crate::kernels`]:
 //!
 //! - [`AlignedVec`] — a 64-byte-aligned `f64` buffer (one cache line /
@@ -13,30 +13,24 @@
 //! - [`BLOCK_ROWS`]-wide structure-of-arrays helpers — [`axpy`] /
 //!   [`axpy_neg`] are explicit lane-chunked elementwise updates;
 //! - [`sigmoid_softplus`] — the fused forward nonlinearity that derives
-//!   `σ(z)` and `softplus(z)` from **one** `exp` (the scalar reference
-//!   computes two) while producing bit-identical values;
-//! - [`Backend`] selection — a `simd` cargo feature picks the compile-time
-//!   default, the `LIGHTMIRM_KERNEL` environment variable overrides it at
-//!   startup, and [`force_backend`] overrides both at runtime (used by
-//!   the bit-exactness suites to compare both paths in one process).
+//!   `σ(z)` and `softplus(z)` from **one** `exp` (the serial reference
+//!   computes two) while producing bit-identical values.
 //!
 //! # Determinism contract
 //!
-//! The blocked kernels are **bit-identical** to the serial reference:
-//! vectorization happens *across* the rows of a block (independent
-//! accumulator per row), never *within* a row's reduction, so every
-//! per-row floating-point operation sequence — the `θᵀx` addition order,
-//! the `exp`/`ln_1p` calls, the scatter order into the gradient — is
-//! exactly the scalar kernel's. Lane order inside each
-//! [`crate::kernels::CHUNK_ROWS`] chunk is fixed by the row order, and
-//! the chunk merge is ordered (PR 1's contract), so results do not depend
-//! on the backend, the thread count, or the batch split. Tests in
+//! The blocked kernels are **bit-identical** to the serial reference in
+//! [`crate::lr`], their one oracle: vectorization happens *across* the
+//! rows of a block (independent accumulator per row), never *within* a
+//! row's reduction, so every per-row floating-point operation sequence —
+//! the `θᵀx` addition order, the `exp`/`ln_1p` calls, the scatter order
+//! into the gradient — is exactly the serial kernel's. Lane order inside
+//! each [`crate::kernels::CHUNK_ROWS`] chunk is fixed by the row order,
+//! and the chunk merge is ordered, so results do not depend on the
+//! thread count or the batch split. Tests in
 //! `crates/core/tests/simd_kernels.rs` assert exact equality.
 
 use std::alloc::{alloc, alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 /// Rows processed per block by the vectorized kernels. Eight rows give
 /// eight independent accumulator chains — enough to hide f64 add latency
@@ -241,78 +235,6 @@ impl From<Vec<f64>> for AlignedVec {
 }
 
 // ---------------------------------------------------------------------------
-// Backend dispatch
-// ---------------------------------------------------------------------------
-
-/// Which kernel implementation the hot path runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Row-block vectorized kernels (gather + structure-of-arrays lanes).
-    Simd,
-    /// The portable per-row scalar kernels (PR 1's implementation).
-    Scalar,
-}
-
-/// Runtime override: 0 = none, 1 = scalar, 2 = simd.
-static FORCED: AtomicU8 = AtomicU8::new(0);
-
-fn default_backend() -> Backend {
-    static DEFAULT: OnceLock<Backend> = OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("LIGHTMIRM_KERNEL") {
-        Ok(v) if v.eq_ignore_ascii_case("scalar") => Backend::Scalar,
-        Ok(v) if v.eq_ignore_ascii_case("simd") || v.eq_ignore_ascii_case("blocked") => {
-            Backend::Simd
-        }
-        Ok(v) => {
-            eprintln!(
-                "LIGHTMIRM_KERNEL={v:?} not recognized (expected \"simd\" or \"scalar\"); \
-                 using the compiled default"
-            );
-            compiled_default()
-        }
-        Err(_) => compiled_default(),
-    })
-}
-
-fn compiled_default() -> Backend {
-    if cfg!(feature = "simd") {
-        Backend::Simd
-    } else {
-        Backend::Scalar
-    }
-}
-
-/// The backend the dispatching kernels in [`crate::kernels`] will use:
-/// a [`force_backend`] override if set, else `LIGHTMIRM_KERNEL` from the
-/// environment (read once), else the `simd` cargo feature's default.
-pub fn backend() -> Backend {
-    match FORCED.load(Ordering::Relaxed) {
-        1 => Backend::Scalar,
-        2 => Backend::Simd,
-        _ => default_backend(),
-    }
-}
-
-/// Force every subsequent dispatching kernel call onto `b`, overriding
-/// the feature flag and the environment. Intended for tests that compare
-/// both paths in one process; kernel calls already in flight keep the
-/// backend they resolved at entry.
-pub fn force_backend(b: Backend) {
-    FORCED.store(
-        match b {
-            Backend::Scalar => 1,
-            Backend::Simd => 2,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// Drop a [`force_backend`] override, returning to the default policy.
-pub fn clear_forced_backend() {
-    FORCED.store(0, Ordering::Relaxed);
-}
-
-// ---------------------------------------------------------------------------
 // Block primitives
 // ---------------------------------------------------------------------------
 
@@ -470,18 +392,5 @@ mod tests {
         for (n, &xi) in neg.iter().zip(&x) {
             assert_eq!(n.to_bits(), (1.0 - 2.0 * xi).to_bits());
         }
-    }
-
-    #[test]
-    fn backend_force_and_clear_round_trip() {
-        // Serialized within this test: other tests in this binary do not
-        // touch the override.
-        let initial = backend();
-        force_backend(Backend::Scalar);
-        assert_eq!(backend(), Backend::Scalar);
-        force_backend(Backend::Simd);
-        assert_eq!(backend(), Backend::Simd);
-        clear_forced_backend();
-        assert_eq!(backend(), initial);
     }
 }

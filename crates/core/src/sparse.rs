@@ -9,7 +9,7 @@
 //! blocked dot product ([`MultiHotMatrix::dot_block`]) relies on that
 //! invariant to read the weight vector without per-element bounds checks.
 
-use crate::simd::{self, Backend, BLOCK_ROWS};
+use crate::simd::BLOCK_ROWS;
 
 /// A binary matrix with a fixed number of ones per row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,45 +112,25 @@ impl MultiHotMatrix {
 
     /// Batch `θᵀx` over a row subset: `out[k] = dot_row(rows[k], weights)`.
     /// Offline predict and the serve engine's `score_batch` both route
-    /// through this one inner loop; on the SIMD backend it runs
-    /// [`BLOCK_ROWS`]-row blocks through [`MultiHotMatrix::dot_block`]
-    /// with a scalar tail, bit-identical to the per-row path (each row's
-    /// sum adds the same weights in the same order as [`Self::dot_row`]).
+    /// through this one inner loop: [`BLOCK_ROWS`]-row blocks through
+    /// [`MultiHotMatrix::dot_block`] with a per-row tail, bit-identical
+    /// to [`Self::dot_row`] (each row's sum adds the same weights in the
+    /// same order).
     ///
     /// # Panics
     ///
     /// Panics when `out.len() != rows.len()`.
     pub fn dot_rows_into(&self, rows: &[u32], weights: &[f64], out: &mut [f64]) {
-        self.dot_rows_into_on(simd::backend(), rows, weights, out)
-    }
-
-    /// [`Self::dot_rows_into`] on an explicit [`Backend`].
-    pub fn dot_rows_into_on(
-        &self,
-        backend: Backend,
-        rows: &[u32],
-        weights: &[f64],
-        out: &mut [f64],
-    ) {
         assert_eq!(out.len(), rows.len(), "output must match the row count");
-        match backend {
-            Backend::Simd => {
-                let mut blocks = rows.chunks_exact(BLOCK_ROWS);
-                let mut outs = out.chunks_exact_mut(BLOCK_ROWS);
-                for (block, ob) in (&mut blocks).zip(&mut outs) {
-                    let mut acc = [0.0; BLOCK_ROWS];
-                    self.dot_block(block, weights, &mut acc);
-                    ob.copy_from_slice(&acc);
-                }
-                for (o, &r) in outs.into_remainder().iter_mut().zip(blocks.remainder()) {
-                    *o = self.dot_row(r as usize, weights);
-                }
-            }
-            Backend::Scalar => {
-                for (o, &r) in out.iter_mut().zip(rows) {
-                    *o = self.dot_row(r as usize, weights);
-                }
-            }
+        let mut blocks = rows.chunks_exact(BLOCK_ROWS);
+        let mut outs = out.chunks_exact_mut(BLOCK_ROWS);
+        for (block, ob) in (&mut blocks).zip(&mut outs) {
+            let mut acc = [0.0; BLOCK_ROWS];
+            self.dot_block(block, weights, &mut acc);
+            ob.copy_from_slice(&acc);
+        }
+        for (o, &r) in outs.into_remainder().iter_mut().zip(blocks.remainder()) {
+            *o = self.dot_row(r as usize, weights);
         }
     }
 
@@ -265,9 +245,8 @@ mod tests {
         let w: Vec<f64> = (0..n_cols).map(|i| (i as f64) * 0.73 - 2.1).collect();
         let rows: Vec<u32> = (0..19u32).rev().collect();
         let mut blocked = vec![0.0; 19];
-        let mut scalar = vec![0.0; 19];
-        m.dot_rows_into_on(Backend::Simd, &rows, &w, &mut blocked);
-        m.dot_rows_into_on(Backend::Scalar, &rows, &w, &mut scalar);
+        m.dot_rows_into(&rows, &w, &mut blocked);
+        let scalar: Vec<f64> = rows.iter().map(|&r| m.dot_row(r as usize, &w)).collect();
         assert_eq!(blocked, scalar);
     }
 

@@ -285,6 +285,7 @@ impl LightMirmTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lr;
     use crate::sparse::MultiHotMatrix;
     use crate::trainers::MetaIrmTrainer;
 
@@ -329,6 +330,65 @@ mod tests {
         let inv = (model.weights[0] - model.weights[1]).abs();
         let spur = (model.weights[2] - model.weights[3]).abs();
         spur / inv.max(1e-9)
+    }
+
+    #[test]
+    fn matches_serial_algorithm_2_reference() {
+        // Algorithm 2 as a plain serial loop over the `lr` oracle kernels.
+        // M = 3, so the index-shift draw of s_m ≠ m matters (at M = 2
+        // every draw is forced).
+        let data = irm_toy(&[60, 45, 30]);
+        let config = TrainConfig {
+            reg: 1e-3,
+            ..cfg(12)
+        };
+        let trainer = LightMirmTrainer::new(config.clone());
+        let (x, y) = (&data.x, &data.labels);
+        let (alpha, reg, gamma) = (config.inner_lr, config.reg, trainer.gamma);
+        let envs = data.active_envs();
+        let m = envs.len();
+        let n = data.n_cols();
+        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+        let mut queues = vec![MetaReplayQueue::new(trainer.mrq_len); m];
+        let mut theta = vec![0.0; n];
+        let mut grad = vec![0.0; n];
+        let mut hvp = vec![0.0; n];
+        for _ in 0..config.epochs {
+            let sampled: Vec<usize> = (0..m)
+                .map(|i| {
+                    let j = rng.gen_range(0..m - 1);
+                    envs[if j >= i { j + 1 } else { j }]
+                })
+                .collect();
+            let mut bars = Vec::with_capacity(m);
+            for (i, &e) in envs.iter().enumerate() {
+                lr::env_grad(&theta, x, y, data.env_rows(e), reg, &mut grad);
+                let bar: Vec<f64> = theta
+                    .iter()
+                    .zip(&grad)
+                    .map(|(t, g)| t - alpha * g)
+                    .collect();
+                queues[i].push(lr::env_loss(&bar, x, y, data.env_rows(sampled[i]), reg));
+                bars.push(bar);
+            }
+            let metas: Vec<f64> = queues.iter().map(|q| q.replayed_mean(gamma)).collect();
+            let coefs = sigma_coefficients(&metas, config.lambda);
+            let mut outer = vec![0.0; n];
+            for (i, &e) in envs.iter().enumerate() {
+                lr::env_grad(&bars[i], x, y, data.env_rows(sampled[i]), reg, &mut grad);
+                lr::env_hvp(&theta, x, y, data.env_rows(e), reg, &grad, &mut hvp);
+                let scale = coefs[i] * queues[i].newest_weight(gamma);
+                for ((o, &u), &h) in outer.iter_mut().zip(&grad).zip(&hvp) {
+                    *o += scale * (u - alpha * h);
+                }
+            }
+            for (t, &o) in theta.iter_mut().zip(&outer) {
+                *t -= config.outer_lr * o;
+            }
+        }
+        let fitted = trainer.fit(&data, None);
+        assert!(theta.iter().any(|&w| w != 0.0), "training must move θ");
+        assert_eq!(fitted.model.global().weights, theta);
     }
 
     #[test]

@@ -1,30 +1,18 @@
-//! Bit-exactness of the vectorized row-block kernel backend.
+//! Bit-exactness of the vectorized row-block kernels.
 //!
-//! The `simd` backend promises to be an *implementation detail*: for any
-//! shape (including odd tails and row counts that are not a multiple of
-//! `BLOCK_ROWS`), any thread count, and any kernel, it must produce the
-//! same bits as the portable scalar backend — and, on a single chunk, the
-//! same bits as the serial reference in `lr`. These tests enforce that
-//! promise with property tests over random shapes and with full trainer
-//! runs forced onto each backend.
-//!
-//! Tests that flip the process-wide backend override serialize on
-//! [`BACKEND_LOCK`]; everything else pins the backend per call via the
-//! `_on` kernel variants, which need no global state.
+//! The row blocks promise to be an *implementation detail*: for any shape
+//! (including odd tails and row counts that are not a multiple of
+//! `BLOCK_ROWS`) they must produce, on a single chunk, the same bits as
+//! the serial reference in `lr` — the one oracle — and, across chunks,
+//! the same bits at any thread count. These tests enforce that promise
+//! with property tests over random shapes and with multi-chunk runs under
+//! rayon pools of different widths.
 
-use lightmirm_core::kernels::{
-    env_grad_on, env_loss_grad_cached_on, env_loss_grad_on, env_loss_on, hvp_from_logits_on,
-    predict_rows_into_on,
-};
+use lightmirm_core::kernels;
+use lightmirm_core::lr;
 use lightmirm_core::prelude::*;
-use lightmirm_core::simd::{clear_forced_backend, force_backend};
-use lightmirm_core::trainers::TrainConfig;
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
-use std::sync::Mutex;
-
-/// Serializes tests that set the process-wide forced backend.
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
 
 /// Deterministic multi-hot instance: `rows` rows, `nnz` active columns
 /// each, hashed indices, alternating-ish labels.
@@ -48,11 +36,17 @@ fn theta_for(n_cols: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// Every kernel on one backend, returning all outputs for comparison.
+/// The HVP direction every run uses.
+fn direction(n: usize) -> Vec<f64> {
+    (0..n).map(|i| 0.21 * i as f64 - 0.9).collect()
+}
+
+/// The seven kernel outputs, in one tuple for comparison: fused loss,
+/// fused gradient, cached logits, HVP, predictions, gradient, loss.
 type KernelOutputs = (f64, Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>, f64);
 
-fn run_all(
-    backend: Backend,
+/// Every row-block kernel.
+fn run_blocked(
     x: &MultiHotMatrix,
     y: &[u8],
     theta: &[f64],
@@ -60,28 +54,48 @@ fn run_all(
     reg: f64,
 ) -> KernelOutputs {
     let n = theta.len();
-    let v: Vec<f64> = (0..n).map(|i| 0.21 * i as f64 - 0.9).collect();
+    let v = direction(n);
     let mut grad = vec![0.0; n];
     let mut logits = vec![0.0; rows.len()];
-    let loss = env_loss_grad_cached_on(backend, theta, x, y, rows, reg, &mut grad, &mut logits);
+    let loss = kernels::env_loss_grad_cached(theta, x, y, rows, reg, &mut grad, &mut logits);
     let mut hvp = vec![0.0; n];
-    hvp_from_logits_on(backend, &logits, x, rows, reg, &v, &mut hvp);
+    kernels::hvp_from_logits(&logits, x, rows, reg, &v, &mut hvp);
     let mut preds = vec![0.0; rows.len()];
-    predict_rows_into_on(backend, theta, x, rows, &mut preds);
+    kernels::predict_rows_into(theta, x, rows, &mut preds);
     let mut g2 = vec![0.0; n];
-    env_grad_on(backend, theta, x, y, rows, reg, &mut g2);
-    let l2 = env_loss_on(backend, theta, x, y, rows, reg);
+    kernels::env_grad(theta, x, y, rows, reg, &mut g2);
+    let l2 = kernels::env_loss(theta, x, y, rows, reg);
     (loss, grad, logits, hvp, preds, g2, l2)
+}
+
+/// The same seven outputs from the serial `lr` kernels and per-row dots.
+fn run_oracle(
+    x: &MultiHotMatrix,
+    y: &[u8],
+    theta: &[f64],
+    rows: &[u32],
+    reg: f64,
+) -> KernelOutputs {
+    let n = theta.len();
+    let loss = lr::env_loss(theta, x, y, rows, reg);
+    let mut grad = vec![0.0; n];
+    lr::env_grad(theta, x, y, rows, reg, &mut grad);
+    let logits: Vec<f64> = rows.iter().map(|&r| x.dot_row(r as usize, theta)).collect();
+    let mut hvp = vec![0.0; n];
+    lr::env_hvp(theta, x, y, rows, reg, &direction(n), &mut hvp);
+    let preds = logits.iter().map(|&z| lr::sigmoid(z)).collect();
+    (loss, grad.clone(), logits, hvp, preds, grad, loss)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// SIMD == scalar to the bit across random shapes: row counts that
-    /// are not multiples of the block width, nnz from 1 (degenerate) up
-    /// past a vector register, shuffled row subsets, with and without L2.
+    /// On a single chunk every row-block kernel equals the serial `lr`
+    /// oracle to the bit, across random shapes: row counts that are not
+    /// multiples of the block width, nnz from 1 (degenerate) up past a
+    /// vector register, shuffled row subsets, with and without L2.
     #[test]
-    fn simd_matches_scalar_bitwise(
+    fn simd_matches_serial_reference_bitwise(
         rows in 1usize..600,
         n_cols in 2usize..40,
         nnz in 1usize..20,
@@ -95,131 +109,46 @@ proptest! {
         let mut subset: Vec<u32> = (0..rows as u32).collect();
         subset.reverse();
         subset.rotate_left(seed as usize % rows);
-        let simd = run_all(Backend::Simd, &x, &y, &theta, &subset, reg);
-        let scalar = run_all(Backend::Scalar, &x, &y, &theta, &subset, reg);
-        prop_assert_eq!(simd, scalar);
-    }
-
-    /// On a single chunk, the SIMD backend is bit-identical to the serial
-    /// reference implementations in `lr` (the chunked-reduction contract
-    /// from PR 1, extended to the blocked backend).
-    #[test]
-    fn simd_matches_serial_reference_bitwise(
-        rows in 1usize..300,
-        nnz in 1usize..12,
-        seed in 0u64..1000,
-    ) {
-        let n_cols = 16;
-        let (x, y) = instance(rows, n_cols, nnz, seed);
-        let theta = theta_for(n_cols, seed);
-        let all: Vec<u32> = (0..rows as u32).collect();
-        let mut grad = vec![0.0; n_cols];
-        let loss = env_loss_grad_on(Backend::Simd, &theta, &x, &y, &all, 0.1, &mut grad);
-        let mut ref_grad = vec![0.0; n_cols];
-        env_grad(&theta, &x, &y, &all, 0.1, &mut ref_grad);
-        prop_assert_eq!(loss, env_loss(&theta, &x, &y, &all, 0.1));
-        prop_assert_eq!(grad, ref_grad);
+        let blocked = run_blocked(&x, &y, &theta, &subset, reg);
+        let oracle = run_oracle(&x, &y, &theta, &subset, reg);
+        prop_assert_eq!(blocked, oracle);
     }
 }
 
-/// Multi-chunk shapes stay backend-invariant under rayon pools of 1 and
-/// 4 workers (the chunk merge is ordered, the backend only changes the
-/// inner loop).
+/// Multi-chunk shapes give the same bits under rayon pools of 1 and 4
+/// workers (the chunk merge is ordered; parallelism only changes which
+/// worker runs a chunk).
 #[test]
-fn simd_is_thread_and_backend_invariant_across_chunks() {
+fn simd_is_thread_invariant_across_chunks() {
     let rows = CHUNK_ROWS * 2 + 777; // three chunks, odd tail
     let (x, y) = instance(rows, 48, 8, 5);
     let theta = theta_for(48, 5);
     let all: Vec<u32> = (0..rows as u32).collect();
-    let mut outputs = Vec::new();
-    for threads in [1usize, 4] {
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool");
-        for backend in [Backend::Simd, Backend::Scalar] {
-            outputs.push(pool.install(|| run_all(backend, &x, &y, &theta, &all, 0.01)));
-        }
-    }
-    for other in &outputs[1..] {
-        assert_eq!(&outputs[0], other);
-    }
+    let outputs: Vec<KernelOutputs> = [1usize, 4]
+        .into_iter()
+        .map(|threads| {
+            let pool = ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
+            pool.install(|| run_blocked(&x, &y, &theta, &all, 0.01))
+        })
+        .collect();
+    assert_eq!(outputs[0], outputs[1]);
 }
 
-/// Full trainer trajectories are identical under the forced SIMD and
-/// scalar backends — the acceptance criterion stated directly.
+/// Serve-path scoring (shared `dot_rows_into` inner loop) equals per-row
+/// `dot_row` on shuffled row subsets with a non-multiple-of-8 length.
 #[test]
-fn trainer_trajectories_identical_across_backends() {
-    let _guard = BACKEND_LOCK.lock().expect("backend lock");
-    let n_envs = 3u16;
-    let rows_per_env = 900usize;
-    let n_cols = 24;
-    let nnz = 4;
-    let mut idx = Vec::new();
-    let mut labels = Vec::new();
-    let mut envs = Vec::new();
-    for env in 0..n_envs {
-        for r in 0..rows_per_env {
-            let h = ((r as u64 + 1) << 3 | env as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            for j in 0..nnz {
-                idx.push(((h >> (13 + 5 * j)) % n_cols as u64) as u32);
-            }
-            labels.push(((h >> 9) % 5 < 2) as u8);
-            envs.push(env);
-        }
-    }
-    let x = MultiHotMatrix::new(idx, nnz, n_cols).expect("well-formed");
-    let names = (0..n_envs).map(|e| format!("env{e}")).collect();
-    let data = EnvDataset::new(x, labels, envs, names).expect("aligned");
-    let cfg = TrainConfig {
-        epochs: 5,
-        inner_lr: 0.3,
-        outer_lr: 0.7,
-        lambda: 0.5,
-        reg: 1e-3,
-        momentum: 0.9,
-        seed: 11,
-    };
-    let fit_on = |backend: Backend| {
-        force_backend(backend);
-        let light = LightMirmTrainer::new(cfg.clone()).fit(&data, None);
-        let meta = MetaIrmTrainer::new(cfg.clone()).fit(&data, None);
-        let erm = ErmTrainer::new(cfg.clone()).fit(&data, None);
-        clear_forced_backend();
-        (
-            light.model.global().weights.clone(),
-            meta.model.global().weights.clone(),
-            erm.model.global().weights.clone(),
-        )
-    };
-    let simd = fit_on(Backend::Simd);
-    let scalar = fit_on(Backend::Scalar);
-    assert!(simd.0.iter().any(|w| *w != 0.0), "training must move θ");
-    assert_eq!(simd, scalar);
-}
-
-/// Serve-path scoring (shared `dot_rows_into` inner loop) is backend-
-/// invariant on shuffled row subsets with a non-multiple-of-8 length.
-#[test]
-fn dot_rows_into_backend_invariant_on_subsets() {
+fn dot_rows_into_matches_dot_row_on_subsets() {
     let (x, _) = instance(101, 30, 7, 42);
     let theta = theta_for(30, 42);
     let rows: Vec<u32> = (0..101u32).filter(|r| r % 3 != 1).collect();
     let mut blocked = vec![0.0; rows.len()];
-    let mut scalar = vec![0.0; rows.len()];
-    x.dot_rows_into_on(Backend::Simd, &rows, &theta, &mut blocked);
-    x.dot_rows_into_on(Backend::Scalar, &rows, &theta, &mut scalar);
-    assert_eq!(blocked, scalar);
-}
-
-/// The env-var dispatch accepts the documented names and the forced
-/// override wins over everything.
-#[test]
-fn forced_backend_overrides_default() {
-    let _guard = BACKEND_LOCK.lock().expect("backend lock");
-    force_backend(Backend::Scalar);
-    assert_eq!(lightmirm_core::simd::backend(), Backend::Scalar);
-    force_backend(Backend::Simd);
-    assert_eq!(lightmirm_core::simd::backend(), Backend::Simd);
-    clear_forced_backend();
+    x.dot_rows_into(&rows, &theta, &mut blocked);
+    let per_row: Vec<f64> = rows
+        .iter()
+        .map(|&r| x.dot_row(r as usize, &theta))
+        .collect();
+    assert_eq!(blocked, per_row);
 }

@@ -30,8 +30,7 @@
 //! ordered chunked reductions), so the comparison runs at the golden
 //! [`TOLERANCE`] and any verdict flip is a hard failure. The scorecard
 //! deliberately contains **no timestamps or wall-clock fields** — it
-//! must be byte-identical across `RAYON_NUM_THREADS` settings and
-//! kernel backends.
+//! must be byte-identical across `RAYON_NUM_THREADS` settings.
 //!
 //! Regenerate after an *intentional* change with
 //! `cargo run --release -p lightmirm-experiments --bin stresslab -- --quick`

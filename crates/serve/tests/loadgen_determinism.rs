@@ -15,7 +15,6 @@ use std::time::Duration;
 use lightmirm_core::bundle::{BundleMetadata, ModelBundle};
 use lightmirm_core::lr::LrModel;
 use lightmirm_core::obs::request::N_STAGES;
-use lightmirm_core::simd::{self, Backend};
 use lightmirm_core::trainers::TrainedModel;
 use lightmirm_serve::loadgen::{
     replay, synthesize_trace, ReplayOutcome, TraceConfig, TracePattern,
@@ -166,56 +165,49 @@ fn different_shard_counts_keep_the_reply_stream_identical() {
 }
 
 #[test]
-fn request_tracing_keeps_sharded_replay_bit_identical_on_both_backends() {
+fn request_tracing_keeps_sharded_replay_bit_identical() {
     // Tracing is observation-only: with `trace_requests` armed the reply
     // stream must stay bit-identical to the untraced replay, per shard
-    // count, per forced kernel backend — and every sampled tail trace
-    // must telescope exactly (stage sum == enqueue-to-reply latency).
+    // count — and every sampled tail trace must telescope exactly (stage
+    // sum == enqueue-to-reply latency).
     let (bundle, tc) = fixture();
-    for backend in [Backend::Simd, Backend::Scalar] {
-        simd::force_backend(backend);
-        for shards in [1usize, 3] {
-            let (off, off_stats, off_tails) = replay_traced(&bundle, &tc, shards, 2, false);
-            assert!(
-                off_tails.is_empty(),
-                "tracing off must sample nothing on {backend:?} backend"
-            );
-            let (on, on_stats, tails) = replay_traced(&bundle, &tc, shards, 2, true);
-            assert_eq!(
-                on.score_digest(),
-                off.score_digest(),
-                "tracing perturbed scores with {shards} shards on {backend:?} backend"
-            );
-            for (e, (a, b)) in off.scores.iter().zip(&on.scores).enumerate() {
-                for k in 0..a.len() {
-                    assert_eq!(a[k].to_bits(), b[k].to_bits(), "event {e} row {k}");
-                }
-            }
-            assert_eq!(on_stats, off_stats, "tracing changed per-shard routing");
-
-            assert!(!tails.is_empty(), "traced replay must sample tail requests");
-            assert!(tails.len() <= 16, "sampler exceeded its k");
-            for t in &tails {
-                assert!((t.shard as usize) < shards, "trace stamped bogus shard");
-                assert_eq!(t.stages_ns.len(), N_STAGES);
-                let sum: u64 = t.stages_ns.iter().sum();
-                assert_eq!(
-                    sum, t.enqueue_to_reply_ns,
-                    "request {:#018x}: stage decomposition must telescope exactly",
-                    t.request_id
-                );
-            }
-            // Deterministic selection rule: slowest-first, ties broken by
-            // ascending request id.
-            for w in tails.windows(2) {
-                assert!(
-                    w[0].enqueue_to_reply_ns > w[1].enqueue_to_reply_ns
-                        || (w[0].enqueue_to_reply_ns == w[1].enqueue_to_reply_ns
-                            && w[0].request_id < w[1].request_id),
-                    "tail traces out of deterministic order"
-                );
+    for shards in [1usize, 3] {
+        let (off, off_stats, off_tails) = replay_traced(&bundle, &tc, shards, 2, false);
+        assert!(off_tails.is_empty(), "tracing off must sample nothing");
+        let (on, on_stats, tails) = replay_traced(&bundle, &tc, shards, 2, true);
+        assert_eq!(
+            on.score_digest(),
+            off.score_digest(),
+            "tracing perturbed scores with {shards} shards"
+        );
+        for (e, (a, b)) in off.scores.iter().zip(&on.scores).enumerate() {
+            for k in 0..a.len() {
+                assert_eq!(a[k].to_bits(), b[k].to_bits(), "event {e} row {k}");
             }
         }
+        assert_eq!(on_stats, off_stats, "tracing changed per-shard routing");
+
+        assert!(!tails.is_empty(), "traced replay must sample tail requests");
+        assert!(tails.len() <= 16, "sampler exceeded its k");
+        for t in &tails {
+            assert!((t.shard as usize) < shards, "trace stamped bogus shard");
+            assert_eq!(t.stages_ns.len(), N_STAGES);
+            let sum: u64 = t.stages_ns.iter().sum();
+            assert_eq!(
+                sum, t.enqueue_to_reply_ns,
+                "request {:#018x}: stage decomposition must telescope exactly",
+                t.request_id
+            );
+        }
+        // Deterministic selection rule: slowest-first, ties broken by
+        // ascending request id.
+        for w in tails.windows(2) {
+            assert!(
+                w[0].enqueue_to_reply_ns > w[1].enqueue_to_reply_ns
+                    || (w[0].enqueue_to_reply_ns == w[1].enqueue_to_reply_ns
+                        && w[0].request_id < w[1].request_id),
+                "tail traces out of deterministic order"
+            );
+        }
     }
-    simd::clear_forced_backend();
 }

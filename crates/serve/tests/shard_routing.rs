@@ -1,6 +1,6 @@
 //! The sharded front end's correctness battery: routing stability,
-//! sharded-vs-single-engine bit-identity on both kernel backends, and
-//! seeded MPMC proptests over the lock-free ring.
+//! sharded-vs-single-engine-vs-offline bit-identity, and seeded MPMC
+//! proptests over the lock-free ring.
 //!
 //! The routing contract under test: the router is a pure function of
 //! `(shard count, pinning table)` — the same key routes to the same
@@ -12,7 +12,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use lightmirm_core::prelude::*;
-use lightmirm_core::simd::{self, Backend};
 use lightmirm_core::trainers::TrainConfig;
 use lightmirm_serve::ring::MpmcRing;
 use lightmirm_serve::{
@@ -148,7 +147,7 @@ fn routes_change_only_on_explicit_resharding_or_pinning() {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded == single-engine == offline, on both kernel backends
+// Sharded == single-engine == offline
 // ---------------------------------------------------------------------------
 
 /// Score the whole stream through a sharded front end as 3-row chunks
@@ -201,46 +200,30 @@ fn scores_through_sharded(w: &World, shards: usize, workers: usize) -> Vec<f64> 
 }
 
 #[test]
-fn sharded_scores_are_bit_identical_to_single_engine_on_both_backends() {
+fn sharded_scores_are_bit_identical_to_single_engine() {
     let w = world();
-    for backend in [Backend::Simd, Backend::Scalar] {
-        simd::force_backend(backend);
-        // The single-engine path is a 1-shard front end; the offline
-        // reference re-scores under the forced backend.
-        let offline = {
-            let n = w.stream.len();
-            let mut features = Vec::with_capacity(n * w.bundle.n_features());
-            let mut env_ids = Vec::with_capacity(n);
-            for k in 0..n {
-                features.extend_from_slice(w.stream.row(k));
-                env_ids.push(w.stream.province[k]);
-            }
-            w.bundle.score_batch(&features, &env_ids)
-        };
-        let single = scores_through_sharded(w, 1, 1);
-        for (shards, workers) in [(2, 1), (3, 2), (4, 2), (7, 1)] {
-            let sharded = scores_through_sharded(w, shards, workers);
-            assert_eq!(sharded.len(), offline.len());
-            for k in 0..offline.len() {
-                assert_eq!(
-                    sharded[k].to_bits(),
-                    single[k].to_bits(),
-                    "row {k} differs between {shards}x{workers} and single engine \
-                     on {backend:?} backend"
-                );
-                assert_eq!(
-                    sharded[k].to_bits(),
-                    offline[k].to_bits(),
-                    "row {k} drifted from offline on {backend:?} backend"
-                );
-            }
+    // The single-engine path is a 1-shard front end; the offline
+    // reference is the fixture's `score_batch` over the whole stream.
+    let single = scores_through_sharded(w, 1, 1);
+    for (shards, workers) in [(2, 1), (3, 2), (4, 2), (7, 1)] {
+        let sharded = scores_through_sharded(w, shards, workers);
+        assert_eq!(sharded.len(), w.offline.len());
+        for k in 0..w.offline.len() {
+            assert_eq!(
+                sharded[k].to_bits(),
+                single[k].to_bits(),
+                "row {k} differs between {shards}x{workers} and single engine"
+            );
+            assert_eq!(
+                sharded[k].to_bits(),
+                w.offline[k].to_bits(),
+                "row {k} drifted from offline"
+            );
         }
     }
-    simd::clear_forced_backend();
-    // The forced-backend sweep must also agree with the fixture's
-    // default-backend offline scores: backends are bit-exact peers.
-    let default_again = scores_through_sharded(w, 4, 2);
-    for (k, s) in default_again.iter().enumerate() {
+    // A second pass through a fresh front end reproduces the fixture.
+    let again = scores_through_sharded(w, 4, 2);
+    for (k, s) in again.iter().enumerate() {
         assert_eq!(s.to_bits(), w.offline[k].to_bits());
     }
 }
