@@ -162,6 +162,21 @@ mod tests {
         FeatureExtractor::fit(frame, &cfg).unwrap()
     }
 
+    /// The default extractor's GBDT on a NaN-free world, pinned by an
+    /// FNV-1a digest of its JSON: every threshold, leaf value, leaf index
+    /// and importance. A change to binning, histogram sums, split choice
+    /// or leaf values moves it; at both rayon widths it must not.
+    #[test]
+    fn default_gbdt_digest_is_pinned() {
+        let ex = FeatureExtractor::fit(&small_world(), &FeatureExtractorConfig::default()).unwrap();
+        let json = serde_json::to_string(ex.gbdt()).unwrap();
+        assert_eq!(
+            crate::hash::fnv1a(json.as_bytes()),
+            0x9fae_6c39_a6bd_37ec,
+            "the default GBDT's bits moved"
+        );
+    }
+
     #[test]
     fn extractor_fits_and_transforms() {
         let frame = small_world();

@@ -6,6 +6,8 @@
 //! histogram slots instead of a sort over all values — the core LightGBM
 //! trick.
 
+use std::cmp::Ordering;
+
 /// Maps raw feature values to bin codes for one feature.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct BinMapper {
@@ -24,7 +26,10 @@ impl BinMapper {
     pub fn fit(values: &[f32], max_bins: usize) -> Self {
         assert!((1..=255).contains(&max_bins), "1..=255 bins supported");
         let mut sorted: Vec<f32> = values.iter().copied().filter(|v| v.is_finite()).collect();
-        sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite values"));
+        // Finite values never compare unordered, so the fallback is dead:
+        // the sort makes the same comparisons as with `expect`, without
+        // a panic path in its inner loop.
+        sorted.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
         sorted.dedup();
         if sorted.is_empty() {
             return BinMapper { edges: vec![0.0] };
@@ -51,23 +56,16 @@ impl BinMapper {
     }
 
     /// Map a raw value to its bin code. Values above the last edge (unseen
-    /// at fit time) fall into the last bin; NaN falls into bin 0.
+    /// at fit time) fall into the last bin, and so does NaN: no split
+    /// threshold is ever the last bin, so NaN goes right at every split
+    /// in training, as [`crate::Tree::route`] sends it.
     pub fn bin(&self, value: f32) -> u8 {
+        let last = self.edges.len() - 1;
         if value.is_nan() {
-            return 0;
+            return last as u8;
         }
-        // Binary search for the first edge >= value.
-        let mut lo = 0usize;
-        let mut hi = self.edges.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.edges[mid] < value {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo.min(self.edges.len() - 1) as u8
+        // The first edge >= value.
+        self.edges.partition_point(|&e| e < value).min(last) as u8
     }
 
     /// The raw-value threshold of a split "bin <= t": the upper edge of
@@ -191,7 +189,7 @@ mod tests {
         let m = BinMapper::fit(&vals, 16);
         assert_eq!(m.bin(-1e9), 0);
         assert_eq!(m.bin(1e9) as usize, m.n_bins() - 1);
-        assert_eq!(m.bin(f32::NAN), 0);
+        assert_eq!(m.bin(f32::NAN) as usize, m.n_bins() - 1);
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! LightGBM's distinguishing growth strategy: instead of expanding level by
 //! level, always split the leaf with the highest gain until `max_leaves`
 //! leaves exist or no leaf has a positive-gain split. The smaller child's
-//! histograms are built from data; the larger child's come from the
-//! subtraction trick.
+//! histograms are built from data; the larger child's are the parent's
+//! with the smaller child's subtracted in place (the subtraction trick).
 
 use crate::binning::BinnedDataset;
-use crate::histogram::{best_split, leaf_value, FeatureHistogram, SplitCandidate};
+use crate::histogram::{
+    best_split, leaf_value, FeatureHistogram, GroupAccumulator, SplitCandidate, GROUP,
+};
 use crate::tree::{Node, Tree};
 
 /// Structural hyper-parameters of a single tree.
@@ -152,12 +154,10 @@ pub fn grow_tree_sampled(
             (&right_rows, &left_rows, false)
         };
         let small_hists = build_histograms(data, small_rows, grads, hessians);
-        let large_hists: Vec<FeatureHistogram> = leaf
-            .hists
-            .iter()
-            .zip(&small_hists)
-            .map(|(parent, small)| parent.subtract_from(small))
-            .collect();
+        let mut large_hists = leaf.hists;
+        for (parent, small) in large_hists.iter_mut().zip(&small_hists) {
+            parent.subtract(small);
+        }
         let (left_hists, right_hists) = if small_is_left {
             (small_hists, large_hists)
         } else {
@@ -227,6 +227,8 @@ pub fn grow_tree_sampled(
     }
 }
 
+/// Histograms of every feature over a leaf's rows, [`GROUP`] features per
+/// pass.
 fn build_histograms(
     data: &BinnedDataset,
     rows: &[u32],
@@ -234,35 +236,36 @@ fn build_histograms(
     hessians: &[f64],
 ) -> Vec<FeatureHistogram> {
     use rayon::prelude::*;
-    // Per-feature histograms are independent; parallelize when the work is
-    // large enough to amortize the fork/join (the sequential path keeps
-    // single-core boxes and tiny leaves fast).
-    if rows.len() * data.n_features() < 1 << 16 {
-        (0..data.n_features())
-            .map(|f| {
-                FeatureHistogram::build(
-                    data.feature_codes(f),
-                    rows,
-                    grads,
-                    hessians,
-                    data.mapper(f).n_bins(),
-                )
-            })
-            .collect()
+    // The leaf's (gradient, hessian) pairs in row order: every group's pass
+    // reads them sequentially instead of gathering them per feature.
+    let gh: Vec<(f64, f64)> = rows
+        .iter()
+        .map(|&r| (grads[r as usize], hessians[r as usize]))
+        .collect();
+    let columns: Vec<(&[u8], usize)> = (0..data.n_features())
+        .map(|f| (data.feature_codes(f), data.mapper(f).n_bins()))
+        .collect();
+    let groups: Vec<&[(&[u8], usize)]> = columns.chunks(GROUP).collect();
+    // Groups are independent. Fan contiguous runs of them out over the
+    // pool when the work is large enough to amortize the fork/join (small
+    // leaves stay on this thread); each run reuses one accumulator.
+    let workers = if rows.len() * columns.len() < 1 << 16 {
+        1
     } else {
-        (0..data.n_features())
-            .into_par_iter()
-            .map(|f| {
-                FeatureHistogram::build(
-                    data.feature_codes(f),
-                    rows,
-                    grads,
-                    hessians,
-                    data.mapper(f).n_bins(),
-                )
-            })
-            .collect()
-    }
+        rayon::current_num_threads()
+    };
+    groups
+        .par_chunks(groups.len().div_ceil(workers))
+        .map(|run| {
+            let mut acc = GroupAccumulator::new();
+            run.iter()
+                .flat_map(|group| acc.build(group, rows, &gh))
+                .collect::<Vec<_>>()
+        })
+        .collect::<Vec<_>>()
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 fn scan_best_masked(
@@ -349,9 +352,17 @@ mod tests {
 
     #[test]
     fn leaf_assignment_matches_routing() {
+        // Both features carry NaN rows: training must put each in the
+        // leaf `Tree::route` sends it to.
         let n = 300;
         let feats: Vec<f32> = (0..n)
-            .flat_map(|i| [((i * 13) % 97) as f32, ((i * 7) % 31) as f32])
+            .flat_map(|i| {
+                let nan_or = |missing: bool, v: usize| if missing { f32::NAN } else { v as f32 };
+                [
+                    nan_or(i % 7 == 0, (i * 13) % 97),
+                    nan_or(i % 11 == 3, (i * 7) % 31),
+                ]
+            })
             .collect();
         let targets: Vec<f64> = (0..n).map(|i| ((i % 5) as f64) - 2.0).collect();
         let data = BinnedDataset::fit(&feats, 2, 32);
@@ -365,6 +376,122 @@ mod tests {
                     leaf_idx as u32,
                     "row {r} routed inconsistently"
                 );
+            }
+        }
+    }
+
+    /// The best root split by brute force over the raw rows: every
+    /// feature, every bin upper edge but the last as the threshold, the
+    /// grower's `min_data_in_leaf` and `min_gain` rules, and its tie
+    /// rule — the first bin within a feature, the last feature across
+    /// features (as `max_by` picks). Returns `(feature, bin, gain)`.
+    fn exhaustive_root_split(
+        feats: &[f32],
+        data: &BinnedDataset,
+        grads: &[f64],
+        hessians: &[f64],
+        config: &GrowConfig,
+    ) -> Option<(u32, u8, f64)> {
+        let score = |g: f64, h: f64| g * g / (h + config.lambda_l2);
+        let nf = data.n_features();
+        let parent = score(grads.iter().sum(), hessians.iter().sum());
+        let mut best: Option<(u32, u8, f64)> = None;
+        for f in 0..nf {
+            let mapper = data.mapper(f);
+            let mut feature_best: Option<(u8, f64)> = None;
+            for b in 0..mapper.n_bins() as u8 - 1 {
+                let edge = mapper.upper_edge(b);
+                let (mut left, mut right) = ((0.0, 0.0, 0u32), (0.0, 0.0, 0u32));
+                for (r, (&g, &h)) in grads.iter().zip(hessians).enumerate() {
+                    let side = if feats[r * nf + f] <= edge {
+                        &mut left
+                    } else {
+                        &mut right
+                    };
+                    side.0 += g;
+                    side.1 += h;
+                    side.2 += 1;
+                }
+                if left.2 < config.min_data_in_leaf || right.2 < config.min_data_in_leaf {
+                    continue;
+                }
+                let gain = score(left.0, left.1) + score(right.0, right.1) - parent;
+                if gain > config.min_gain && feature_best.is_none_or(|(_, g)| gain > g) {
+                    feature_best = Some((b, gain));
+                }
+            }
+            if let Some((b, gain)) = feature_best {
+                if best.is_none_or(|(_, _, g)| gain >= g) {
+                    best = Some((f as u32, b, gain));
+                }
+            }
+        }
+        best
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// DESIGN.md §6's exhaustive-split reference: on tiny data with
+            /// integer gradients and unit hessians every f64 sum is exact,
+            /// so the grower's root split must match the brute-force scan
+            /// in feature, threshold bin and gain bits. Two knobs make
+            /// gains tie: column `dup` (when in range) copies column 0,
+            /// across features; `mirror` appends each row's mirror image
+            /// `(11 − x, −g)`, so every threshold ties with its reflection
+            /// within a feature.
+            #[test]
+            fn root_split_matches_exhaustive_reference(
+                n_features in 1usize..=6,
+                mut raw in proptest::collection::vec(
+                    (proptest::collection::vec(0u8..12, 6), -4i8..=4),
+                    1..=64,
+                ),
+                max_bins in 2usize..=12,
+                (min_data_in_leaf, lambda_quarters, min_gain_quarters) in (1u32..=8, 0u8..8, 0u8..12),
+                (dup, mirror) in (1usize..=6, 0u8..2),
+            ) {
+                if mirror == 1 {
+                    raw.truncate(raw.len().div_ceil(2));
+                    let images: Vec<_> = raw
+                        .iter()
+                        .map(|(x, g)| (x.iter().map(|&v| 11 - v).collect(), -g))
+                        .collect();
+                    raw.extend(images);
+                }
+                let feats: Vec<f32> = raw
+                    .iter()
+                    .flat_map(|(x, _)| {
+                        (0..n_features).map(|f| f32::from(x[if f == dup { 0 } else { f }]))
+                    })
+                    .collect();
+                let grads: Vec<f64> = raw.iter().map(|&(_, g)| f64::from(g)).collect();
+                let hessians = vec![1.0; raw.len()];
+                let data = BinnedDataset::fit(&feats, n_features, max_bins);
+                // Quarter steps: exact gains can meet `min_gain` exactly.
+                let config = GrowConfig {
+                    max_leaves: 2,
+                    min_data_in_leaf,
+                    lambda_l2: f64::from(lambda_quarters) / 4.0,
+                    min_gain: f64::from(min_gain_quarters) / 4.0,
+                };
+                let grown = grow_tree(&data, &grads, &hessians, &config);
+                let want = exhaustive_root_split(&feats, &data, &grads, &hessians, &config);
+                match (grown.tree.nodes()[0].clone(), want) {
+                    (Node::Leaf { .. }, None) => {}
+                    (Node::Split { feature, threshold, .. }, Some((f, b, gain))) => {
+                        prop_assert_eq!(feature, f);
+                        prop_assert_eq!(data.mapper(f as usize).bin(threshold), b);
+                        prop_assert_eq!(grown.feature_gain[f as usize].to_bits(), gain.to_bits());
+                    }
+                    (root, want) => {
+                        prop_assert!(false, "grower chose {root:?}, brute force {want:?}");
+                    }
+                }
             }
         }
     }

@@ -246,7 +246,14 @@ impl LoanFrame {
         }
         let n_features = buf.get_u32_le() as usize;
         let n_rows = buf.get_u64_le() as usize;
-        let need = n_rows * n_features * 4 + n_rows * (2 + 1 + 2 + 1 + 1);
+        // A hostile header can claim any counts: size the payload with
+        // checked arithmetic instead of overflowing.
+        let need = n_rows
+            .checked_mul(n_features)
+            .and_then(|cells| cells.checked_mul(4))
+            .zip(n_rows.checked_mul(2 + 1 + 2 + 1 + 1))
+            .and_then(|(features, columns)| features.checked_add(columns))
+            .ok_or(FrameError::Corrupt("payload length overflows usize"))?;
         if buf.remaining() != need {
             return Err(FrameError::Corrupt("payload length mismatch"));
         }
@@ -402,6 +409,21 @@ mod tests {
         let buf = f.to_bytes();
         let truncated = buf.slice(0..buf.len() - 1);
         assert!(LoanFrame::from_bytes(truncated).is_err());
+    }
+
+    #[test]
+    fn from_bytes_rejects_overflowing_header() {
+        // A bare 18-byte header claiming u64::MAX rows of u32::MAX
+        // features: the payload length overflows and must be an error.
+        let mut raw = BytesMut::new();
+        raw.put_u32_le(FRAME_MAGIC);
+        raw.put_u16_le(FRAME_VERSION);
+        raw.put_u32_le(u32::MAX);
+        raw.put_u64_le(u64::MAX);
+        assert_eq!(
+            LoanFrame::from_bytes(raw.freeze()).unwrap_err(),
+            FrameError::Corrupt("payload length overflows usize")
+        );
     }
 
     #[test]

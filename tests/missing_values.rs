@@ -1,7 +1,7 @@
 //! End-to-end robustness to missing feature values: the GBDT bins NaN to
-//! the lowest bin at fit time and routes NaN right at prediction time, so
-//! the whole pipeline must train and score on platform-realistic data
-//! with failed bureau pulls.
+//! the last bin at fit time, so it goes right at every split, and routes
+//! NaN right at prediction time; the whole pipeline must train and score
+//! on platform-realistic data with failed bureau pulls.
 
 use lightmirm::prelude::*;
 use lightmirm_core::trainers::TrainConfig;
