@@ -351,11 +351,7 @@ fn engine_config_from_flags(
         monitor: Some(MonitorConfig::default()),
         ..defaults
     };
-    let cfg = ShardConfig {
-        shards,
-        engine,
-        ..ShardConfig::default()
-    };
+    let cfg = ShardConfig { shards, engine };
     Ok((cfg, opts))
 }
 

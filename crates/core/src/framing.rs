@@ -64,8 +64,8 @@ pub enum FrameError {
         /// Bytes actually remaining.
         have: usize,
     },
-    /// `rows × n_features` overflows the address space — a corrupt or
-    /// hostile header.
+    /// The declared payload length, `rows × 2 + rows × n_features × 4`
+    /// bytes, overflows the address space — a corrupt or hostile header.
     PayloadOverflow,
 }
 
@@ -202,13 +202,21 @@ pub fn decode_frame(buf: &mut Bytes) -> Result<Frame, FrameError> {
         n_features: buf.get_u32_le(),
         deadline_ms: buf.get_u32_le(),
     };
-    let env_len = header.rows as usize * 2;
-    let feat_len = (header.rows as u64)
+    // Every length is checked: the header is untrusted, and `rows ×
+    // n_features × 4` alone can fit a u64 while its sum with `rows × 2`
+    // does not.
+    let rows = u64::from(header.rows);
+    let env_len = rows * 2;
+    let feat_len = rows
         .checked_mul(u64::from(header.n_features))
         .and_then(|v| v.checked_mul(4))
+        .ok_or(FrameError::PayloadOverflow)?;
+    let need = env_len
+        .checked_add(feat_len)
         .and_then(|v| usize::try_from(v).ok())
         .ok_or(FrameError::PayloadOverflow)?;
-    let need = env_len + feat_len;
+    // Both parts are at most `need`, which fits usize.
+    let (env_len, feat_len) = (env_len as usize, feat_len as usize);
     if buf.remaining() < need {
         return Err(FrameError::Truncated {
             need,
@@ -266,6 +274,7 @@ impl Iterator for FrameReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample(rows: usize, n_features: u32, key: u16) -> (Vec<u16>, Vec<f32>) {
         let env_ids: Vec<u16> = (0..rows).map(|i| (key + i as u16) % 7).collect();
@@ -376,5 +385,124 @@ mod tests {
         assert_eq!(unique.len(), ids.len(), "collision in 64 ids");
         assert!(ids.iter().enumerate().all(|(i, &id)| id != i as u64));
         assert_ne!(frame_request_id(7, 0), frame_request_id(8, 0));
+    }
+
+    /// A bare 20-byte header declaring `rows × n_features`.
+    fn raw_header(rows: u32, n_features: u32) -> BytesMut {
+        let mut buf = BytesMut::new();
+        buf.extend_from_slice(&FRAME_MAGIC);
+        buf.put_u8(FRAME_VERSION);
+        buf.put_u8(1);
+        buf.put_u16_le(7);
+        buf.put_u32_le(rows);
+        buf.put_u32_le(n_features);
+        buf.put_u32_le(0);
+        buf
+    }
+
+    /// Payload bytes a header declares, in u128 so no header overflows.
+    fn declared(rows: u32, n_features: u32) -> u128 {
+        u128::from(rows) * (2 + 4 * u128::from(n_features))
+    }
+
+    #[test]
+    fn payload_length_sum_overflow_is_rejected() {
+        // rows × n_features × 4 = 2⁶⁴ − 4 fits a u64; adding rows × 2
+        // does not.
+        let mut header = raw_header(2_147_483_649, 2_147_483_647).freeze();
+        assert_eq!(decode_frame(&mut header), Err(FrameError::PayloadOverflow));
+    }
+
+    /// Header dimensions a hostile sender would pick: the edges of the
+    /// u32 range and around 2³¹, small values whose payload fits a short
+    /// buffer, and arbitrary ones.
+    fn dim() -> impl Strategy<Value = u32> {
+        const EDGES: [u32; 5] = [0, 1, (1 << 31) - 1, (1 << 31) + 1, u32::MAX];
+        (0u8..3, 0..EDGES.len(), 0..=u32::MAX).prop_map(|(kind, edge, any)| match kind {
+            0 => EDGES[edge],
+            1 => any % 8,
+            _ => any,
+        })
+    }
+
+    /// A header followed by 0–512 arbitrary bytes; with `exact`, the
+    /// bytes are cut to the declared payload when they hold it, so
+    /// concatenations of such frames also walk past well-formed frames.
+    fn hostile_frame() -> impl Strategy<Value = (u32, u32, Vec<u8>)> {
+        (dim(), dim(), collection::vec(0u8..=255, 0..=512), 0u8..2).prop_map(
+            |(rows, n_features, mut payload, exact)| {
+                let need = declared(rows, n_features);
+                if exact == 1 && need <= payload.len() as u128 {
+                    payload.truncate(need as usize);
+                }
+                (rows, n_features, payload)
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn hostile_headers_decode_without_panic_or_over_read(
+            (rows, n_features, payload) in hostile_frame(),
+        ) {
+            let mut buf = raw_header(rows, n_features);
+            buf.extend_from_slice(&payload);
+            let mut cursor = buf.freeze();
+            let need = declared(rows, n_features);
+            let have = payload.len() as u128;
+            let decoded = decode_frame(&mut cursor);
+            prop_assert_eq!(decoded.is_ok(), need <= have, "{:?}", decoded);
+            match decoded {
+                Ok(frame) => {
+                    prop_assert_eq!(frame.header.rows, rows);
+                    prop_assert_eq!(frame.header.n_features, n_features);
+                    prop_assert_eq!(cursor.remaining() as u128, have - need);
+                }
+                Err(FrameError::Truncated { need: n, have: h }) => {
+                    prop_assert!(n > h, "Truncated {{ need: {n}, have: {h} }}");
+                    prop_assert_eq!((n as u128, h as u128), (need, have));
+                }
+                Err(FrameError::PayloadOverflow) => {
+                    prop_assert!(need > usize::MAX as u128, "{need} bytes fit usize");
+                }
+                Err(e) => panic!("a well-formed header failed with {e}"),
+            }
+        }
+
+        #[test]
+        fn frame_reader_stops_after_at_most_one_error(
+            frames in collection::vec(hostile_frame(), 1..5),
+        ) {
+            let mut buf = BytesMut::new();
+            for (rows, n_features, payload) in &frames {
+                buf.extend_from_slice(&raw_header(*rows, *n_features));
+                buf.extend_from_slice(payload);
+            }
+            // Every item consumes at least a header, so a reader that
+            // terminates yields no more than this many.
+            let bound = buf.len() / HEADER_BYTES + 1;
+            let mut reader = FrameReader::new(buf.freeze());
+            let items: Vec<_> = reader.by_ref().take(bound).collect();
+            prop_assert!(reader.next().is_none(), "reader did not stop");
+            let errors = items.iter().filter(|item| item.is_err()).count();
+            prop_assert!(errors <= 1, "{errors} errors: {items:?}");
+            if errors == 1 {
+                prop_assert!(items.last().is_some_and(Result::is_err), "{items:?}");
+            }
+            for item in &items {
+                match item {
+                    Ok(frame) => prop_assert!(
+                        frame.env_id_bytes().len() + frame.feature_bytes().len()
+                            == declared(frame.header.rows, frame.header.n_features) as usize
+                    ),
+                    Err(FrameError::Truncated { need, have }) => {
+                        prop_assert!(need > have, "Truncated {{ need: {need}, have: {have} }}");
+                    }
+                    Err(_) => {}
+                }
+            }
+        }
     }
 }

@@ -148,7 +148,6 @@ fn main() {
                 }),
                 ..EngineConfig::default()
             },
-            ..ShardConfig::default()
         },
     );
     let feed = LabelFeed::new(nf, FeedConfig::default());

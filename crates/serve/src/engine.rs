@@ -202,9 +202,6 @@ pub struct SubmitOptions {
 /// Why a submission was not accepted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The bounded queue is at capacity (only under [`Admission::Try`];
-    /// [`Admission::Block`] waits instead).
-    QueueFull,
     /// The queue is above the shed watermark and the request is
     /// [`Priority::Low`].
     Shed,
@@ -220,7 +217,6 @@ pub enum SubmitError {
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SubmitError::QueueFull => write!(f, "scoring queue is full"),
             SubmitError::Shed => write!(f, "low-priority request shed at the queue watermark"),
             SubmitError::ShuttingDown => write!(f, "engine is shutting down"),
             SubmitError::Malformed { features, expected } => {
@@ -237,28 +233,6 @@ impl std::fmt::Display for SubmitError {
 }
 
 impl std::error::Error for SubmitError {}
-
-/// What [`ScoringEngine::submit`] does when the queue lacks room for the
-/// request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// Park until a dispatch frees enough rows (backpressure).
-    Block,
-    /// Reject at once with [`SubmitError::QueueFull`] (load shedding).
-    Try,
-}
-
-/// A submission the engine did not accept: the reason, plus the
-/// caller's buffers handed back untouched.
-#[derive(Debug)]
-pub struct Rejected {
-    /// Why the request was not accepted.
-    pub error: SubmitError,
-    /// The submitted feature rows, unchanged.
-    pub features: Vec<f32>,
-    /// The submitted environment ids, unchanged.
-    pub env_ids: Vec<u16>,
-}
 
 /// Structured outcome for an accepted-but-unanswerable request. Every
 /// accepted request terminates in scores or exactly one of these.
@@ -528,7 +502,6 @@ struct Metrics {
     stage_ns: [Histogram; N_STAGES],
     requests: u64,
     rows_scored: u64,
-    rejected_full: u64,
     shed_low_priority: u64,
     expired: u64,
     worker_panics: u64,
@@ -547,8 +520,6 @@ pub struct EngineStats {
     pub requests: u64,
     /// Rows scored so far.
     pub rows_scored: u64,
-    /// [`Admission::Try`] submits bounced with [`SubmitError::QueueFull`].
-    pub rejected_full: u64,
     /// Low-priority submissions shed at the watermark.
     pub shed_low_priority: u64,
     /// Requests answered [`ScoreError::DeadlineExceeded`] from dropped
@@ -797,38 +768,28 @@ impl ScoringEngine {
     }
 
     /// Enqueue a scoring request. Returns a [`PendingScores`] handle;
-    /// scores come back position-aligned with the submitted rows.
-    /// `admission` picks what a full queue does: [`Admission::Block`]
-    /// parks until a dispatch frees rows, [`Admission::Try`] rejects at
-    /// once with [`SubmitError::QueueFull`] (load shedding).
+    /// scores come back position-aligned with the submitted rows. When
+    /// the queue lacks room for the request, the call parks until a
+    /// dispatch frees enough rows (backpressure); only
+    /// [`Priority::Low`] traffic above the shed watermark and a draining
+    /// engine are refused without waiting.
     ///
     /// # Errors
     ///
-    /// A [`Rejected`] carrying the [`SubmitError`] and the untouched
-    /// `features`/`env_ids`, so a caller (e.g. the shard router's
-    /// redirect walk) can resubmit them without cloning the rows.
+    /// See [`SubmitError`].
     pub fn submit(
         &self,
         features: Vec<f32>,
         env_ids: Vec<u16>,
         opts: SubmitOptions,
-        admission: Admission,
-    ) -> Result<PendingScores, Rejected> {
+    ) -> Result<PendingScores, SubmitError> {
         let submitted_at = Instant::now();
-        let reject = |error, features, env_ids| {
-            Err(Rejected {
-                error,
-                features,
-                env_ids,
-            })
-        };
         let expected = env_ids.len() * self.shared.n_features;
         if features.len() != expected {
-            let err = SubmitError::Malformed {
+            return Err(SubmitError::Malformed {
                 features: features.len(),
                 expected,
-            };
-            return reject(err, features, env_ids);
+            });
         }
         let rows = env_ids.len();
         let (tx, rx) = mpsc::channel();
@@ -842,11 +803,10 @@ impl ScoringEngine {
             return Ok(PendingScores { rx, rows });
         }
         if rows > self.shared.cfg.queue_capacity {
-            let err = SubmitError::RequestTooLarge {
+            return Err(SubmitError::RequestTooLarge {
                 rows,
                 capacity: self.shared.cfg.queue_capacity,
-            };
-            return reject(err, features, env_ids);
+            });
         }
         let shared = &*self.shared;
         let capacity = shared.cfg.queue_capacity;
@@ -859,17 +819,17 @@ impl ScoringEngine {
         let trace_on = shared.cfg.trace_requests;
         let mut park_ns: u64 = 0;
         // Admission is one CAS on the row counter: the loaded value both
-        // decides (shed/full/fits) and guards the reservation, so a
+        // decides (shed/park/fits) and guards the reservation, so a
         // concurrent admit that would invalidate the decision makes the
         // CAS fail and the decision is retaken.
         loop {
             if shared.is_shutdown() {
-                return reject(SubmitError::ShuttingDown, features, env_ids);
+                return Err(SubmitError::ShuttingDown);
             }
             let cur = queued.load(Ordering::SeqCst);
             if opts.priority == Priority::Low && cur + rows > shed_rows {
                 lock(&shared.metrics).shed_low_priority += 1;
-                return reject(SubmitError::Shed, features, env_ids);
+                return Err(SubmitError::Shed);
             }
             if cur + rows <= capacity {
                 if queued
@@ -879,10 +839,6 @@ impl ScoringEngine {
                     break;
                 }
                 continue;
-            }
-            if admission == Admission::Try {
-                lock(&shared.metrics).rejected_full += 1;
-                return reject(SubmitError::QueueFull, features, env_ids);
             }
             // Park until a dispatch frees rows. Re-check under the park
             // mutex (see `Shared::wake` for the pairing argument).
@@ -910,7 +866,7 @@ impl ScoringEngine {
         if shared.is_shutdown() {
             queued.fetch_sub(rows, Ordering::SeqCst);
             shared.wake(&shared.not_full);
-            return reject(SubmitError::ShuttingDown, features, env_ids);
+            return Err(SubmitError::ShuttingDown);
         }
         let now = Instant::now();
         // Stage boundary t0. Admission is defined as everything between
@@ -1026,7 +982,6 @@ impl ScoringEngine {
         EngineStats {
             requests: m.requests,
             rows_scored: m.rows_scored,
-            rejected_full: m.rejected_full,
             shed_low_priority: m.shed_low_priority,
             expired: m.expired,
             worker_panics: m.worker_panics,
@@ -1080,7 +1035,6 @@ impl ScoringEngine {
         let mut metrics = vec![
             counter("serve_requests_total", m.requests),
             counter("serve_rows_scored_total", m.rows_scored),
-            counter("serve_rejected_full_total", m.rejected_full),
             counter("serve_shed_total", m.shed_low_priority),
             counter("serve_deadline_expired_total", m.expired),
             counter("serve_worker_panics_total", m.worker_panics),
@@ -1117,15 +1071,9 @@ impl ScoringEngine {
     }
 
     /// Rows admitted and not yet dispatched — the live backpressure
-    /// quantity. The shard router reads this for least-loaded redirects.
+    /// quantity.
     pub fn queued_rows(&self) -> usize {
         self.shared.queue.queued_rows.load(Ordering::SeqCst)
-    }
-
-    /// Whether [`ScoringEngine::begin_shutdown`] has been called (the
-    /// engine may still be draining accepted requests).
-    pub fn is_draining(&self) -> bool {
-        self.shared.is_shutdown()
     }
 
     /// Clone of the submit-call-entry → reply latency histogram. Unlike
@@ -1134,13 +1082,6 @@ impl ScoringEngine {
     /// from the aggregate.
     pub fn enqueue_to_reply_histogram(&self) -> Histogram {
         lock(&self.shared.metrics).enqueue_to_reply_ns.clone()
-    }
-
-    /// The retained k-slowest request traces, slowest first (empty
-    /// unless [`EngineConfig::trace_requests`] is on). Shard index is 0;
-    /// a sharded front end stamps it when merging.
-    pub fn tail_traces(&self) -> Vec<RequestTrace> {
-        lock(&self.shared.tail).traces().to_vec()
     }
 
     /// A clone of the engine's tail sampler (retention bound included),

@@ -17,13 +17,10 @@
 //!   into requests, how requests coalesce into micro-batches, or how many
 //!   workers run (verified in `tests/serve_equivalence.rs`).
 //! - **Backpressure** — the queue is bounded in rows. There is one
-//!   submit call, [`ScoringEngine::submit`]: under [`Admission::Block`]
-//!   it waits until space frees, under [`Admission::Try`] it returns
-//!   [`SubmitError::QueueFull`] immediately so callers can shed load.
-//!   Above the configurable `shed_watermark`, [`Priority::Low`] traffic
-//!   is rejected with [`SubmitError::Shed`] before the queue hard-fills.
-//!   Every rejection is a [`Rejected`] that hands the request's buffers
-//!   back by move, so a caller can resubmit without cloning rows.
+//!   submit call, [`ScoringEngine::submit`], and it parks on a full
+//!   queue until a dispatch frees room. Above the configurable
+//!   `shed_watermark`, [`Priority::Low`] traffic is refused at once with
+//!   [`SubmitError::Shed`] before the queue hard-fills.
 //! - **One front end** — [`ShardedEngine`] routes requests over N ≥ 1
 //!   independent engine shards and is what every serving command drives
 //!   (one shard reproduces a lone engine bit for bit);
@@ -94,7 +91,6 @@ pub mod adapt;
 mod engine;
 pub mod loadgen;
 pub mod monitor;
-pub mod registry;
 pub mod ring;
 pub mod shard;
 
@@ -103,12 +99,11 @@ pub use adapt::{
     PromotionController, RollbackReason,
 };
 pub use engine::{
-    scoped_failpoint_site, Admission, EngineConfig, EngineStats, PendingScores, Priority, Rejected,
-    ReloadError, ScoreError, ScoredResponse, ScoringEngine, SubmitError, SubmitOptions,
+    scoped_failpoint_site, EngineConfig, EngineStats, PendingScores, Priority, ReloadError,
+    ScoreError, ScoredResponse, ScoringEngine, SubmitError, SubmitOptions,
 };
 pub use monitor::{DriftMonitor, DriftReport, EnvDrift, MonitorConfig, SignalDrift};
-pub use registry::{ModelRegistry, RegistryConfig, RegistryError};
-pub use shard::{OverflowPolicy, ShardConfig, ShardRouter, ShardedEngine};
+pub use shard::{ShardConfig, ShardedEngine};
 // Re-export the quarantine vocabulary so engine embedders need not
 // depend on `lightmirm-core` directly for configuration.
 pub use lightmirm_core::bundle::{QuarantineFallback, QuarantinePolicy};

@@ -1,142 +1,42 @@
 //! Sharded serving front end: N independent [`ScoringEngine`]s behind a
-//! stable-hash [`ShardRouter`].
+//! stable-hash [`route`].
 //!
 //! Each shard is a full engine — its own lock-free intake ring, worker
 //! pool, drift monitor, and hot-reload gate — so shards share no mutable
 //! state and a flood (or a chaos-killed worker pool) on one shard cannot
-//! stall its siblings. Routing is by an opaque `u16` key (tenant or
-//! province id): the router hashes the key with splitmix64 and takes it
-//! modulo the shard count, with an explicit pinning table overriding the
-//! hash per key. The hash has **no runtime state**, so the same key maps
-//! to the same shard across restarts; routes change only on explicit
-//! resharding ([`ShardRouter::resharded`]) or pin edits.
+//! stall its siblings. Routing is by an opaque `u16` key (the province
+//! id): [`route`] hashes the key with splitmix64 and takes it modulo the
+//! shard count. A route is a **pure function of `(key, shards)`**, so
+//! the same key maps to the same shard across restarts. A shard that
+//! refuses a request (shed, or draining) returns that error to the
+//! caller; no request ever moves to a sibling.
 //!
 //! Correctness does not depend on routing: scoring is elementwise per
 //! row, so any shard scores any row bit-identically
 //! (`tests/shard_routing.rs` proves sharded == single-engine ==
-//! offline). Routing is a locality/isolation policy, which is what lets
-//! [`OverflowPolicy::Redirect`] bounce traffic off a full or draining
-//! shard without changing a single score.
-
-use std::collections::BTreeMap;
+//! offline). Routing is a locality/isolation policy only.
 
 use lightmirm_core::bundle::ModelBundle;
 use lightmirm_core::hash;
-use lightmirm_core::obs::request::{RequestTrace, TailSampler, N_STAGES};
+use lightmirm_core::obs::request::{TailSampler, N_STAGES};
 use lightmirm_core::obs::{MetricEntry, MetricKey, MetricValue, MetricsSnapshot};
 use lightmirm_core::timing::Histogram;
 
 use crate::engine::{
-    Admission, EngineConfig, EngineStats, PendingScores, Rejected, ReloadError, ScoringEngine,
-    SubmitError, SubmitOptions,
+    EngineConfig, EngineStats, PendingScores, ReloadError, ScoringEngine, SubmitError,
+    SubmitOptions,
 };
 
-/// The router's stateless key hash: the first splitmix64 output of the
-/// stream seeded with `key`. The spec is part of the routing contract
-/// (DESIGN.md §5k); the constants live in [`lightmirm_core::hash`].
-fn route_hash(key: u16) -> u64 {
-    hash::splitmix64(u64::from(key).wrapping_add(hash::GOLDEN_GAMMA))
-}
-
-/// Stable key → shard mapping: pinning table first, splitmix64 hash
-/// modulo the shard count otherwise.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardRouter {
-    shards: usize,
-    pinned: BTreeMap<u16, usize>,
-}
-
-impl ShardRouter {
-    /// A hash-only router over `shards` shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero shards — a configuration error.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards >= 1, "router needs at least one shard");
-        ShardRouter {
-            shards,
-            pinned: BTreeMap::new(),
-        }
-    }
-
-    /// A router with an explicit pinning table overriding the hash.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero shards or a pin targeting a shard that does not
-    /// exist.
-    pub fn with_pinning(shards: usize, pinned: BTreeMap<u16, usize>) -> Self {
-        let mut router = ShardRouter::new(shards);
-        for (key, shard) in pinned {
-            router.pin(key, shard);
-        }
-        router
-    }
-
-    /// Shards this router spreads over.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard serving `key`.
-    pub fn route(&self, key: u16) -> usize {
-        match self.pinned.get(&key) {
-            Some(&shard) => shard,
-            None => (route_hash(key) % self.shards as u64) as usize,
-        }
-    }
-
-    /// Pin `key` to `shard`, overriding the hash.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard` does not exist.
-    pub fn pin(&mut self, key: u16, shard: usize) {
-        assert!(shard < self.shards, "pin target {shard} out of range");
-        self.pinned.insert(key, shard);
-    }
-
-    /// Drop the pin for `key` (back to the hash route).
-    pub fn unpin(&mut self, key: u16) {
-        self.pinned.remove(&key);
-    }
-
-    /// The pinning table.
-    pub fn pinned(&self) -> &BTreeMap<u16, usize> {
-        &self.pinned
-    }
-
-    /// Explicit resharding: the ONLY operation that changes hash routes.
-    /// Pins whose target still exists are kept; pins beyond the new
-    /// shard count are dropped.
-    pub fn resharded(&self, shards: usize) -> ShardRouter {
-        assert!(shards >= 1, "router needs at least one shard");
-        ShardRouter {
-            shards,
-            pinned: self
-                .pinned
-                .iter()
-                .filter(|&(_, &s)| s < shards)
-                .map(|(&k, &s)| (k, s))
-                .collect(),
-        }
-    }
-}
-
-/// What a shard does with traffic its intake rejects (full, shed, or
-/// draining).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverflowPolicy {
-    /// Surface the primary shard's rejection to the caller (strict
-    /// isolation: one tenant's flood stays that tenant's problem).
-    #[default]
-    Reject,
-    /// Walk the remaining shards in ring order and enqueue on the first
-    /// that accepts; only when every shard rejects does the caller see
-    /// an error. Scores are routing-invariant, so a redirect never
-    /// changes a result — it only moves the queueing.
-    Redirect,
+/// The shard serving `key` among `shards`: the first splitmix64 output
+/// of the stream seeded with `key`, modulo the shard count. The spec is
+/// part of the routing contract (DESIGN.md §5k); the constants live in
+/// [`lightmirm_core::hash`].
+///
+/// # Panics
+///
+/// Panics on zero shards.
+pub fn route(key: u16, shards: usize) -> usize {
+    (hash::splitmix64(u64::from(key).wrapping_add(hash::GOLDEN_GAMMA)) % shards as u64) as usize
 }
 
 /// Configuration of the sharded front end.
@@ -147,10 +47,6 @@ pub struct ShardConfig {
     /// Per-shard engine configuration. `chaos_scope` is overwritten per
     /// shard (`shard0`, `shard1`, …) so failpoints can target one shard.
     pub engine: EngineConfig,
-    /// Overflow policy for rejected submissions.
-    pub overflow: OverflowPolicy,
-    /// Routing pins, key → shard.
-    pub pinned: BTreeMap<u16, usize>,
 }
 
 impl Default for ShardConfig {
@@ -158,17 +54,13 @@ impl Default for ShardConfig {
         ShardConfig {
             shards: 4,
             engine: EngineConfig::default(),
-            overflow: OverflowPolicy::default(),
-            pinned: BTreeMap::new(),
         }
     }
 }
 
-/// N independent [`ScoringEngine`] shards behind a [`ShardRouter`].
+/// N independent [`ScoringEngine`] shards behind [`route`].
 pub struct ShardedEngine {
     shards: Vec<ScoringEngine>,
-    router: ShardRouter,
-    overflow: OverflowPolicy,
 }
 
 impl ShardedEngine {
@@ -176,10 +68,10 @@ impl ShardedEngine {
     ///
     /// # Panics
     ///
-    /// Panics on invalid configuration (zero shards, out-of-range pins,
-    /// or an invalid [`EngineConfig`]).
+    /// Panics on invalid configuration (zero shards or an invalid
+    /// [`EngineConfig`]).
     pub fn new(bundle: &ModelBundle, cfg: &ShardConfig) -> Self {
-        let router = ShardRouter::with_pinning(cfg.shards, cfg.pinned.clone());
+        assert!(cfg.shards >= 1, "front end needs at least one shard");
         let shards = (0..cfg.shards)
             .map(|i| {
                 let mut engine_cfg = cfg.engine.clone();
@@ -187,11 +79,7 @@ impl ShardedEngine {
                 ScoringEngine::new(bundle.clone(), engine_cfg)
             })
             .collect();
-        ShardedEngine {
-            shards,
-            router,
-            overflow: cfg.overflow,
-        }
+        ShardedEngine { shards }
     }
 
     /// Number of shards.
@@ -205,25 +93,13 @@ impl ShardedEngine {
         &self.shards[i]
     }
 
-    /// The router (read-only; routes are fixed for the engine's life —
-    /// resharding means building a new front end).
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
-    /// Route `key` and submit, blocking on the target shard's
-    /// backpressure. Returns the shard that accepted alongside the
-    /// pending scores.
-    ///
-    /// Under [`OverflowPolicy::Redirect`], a rejecting primary
-    /// (full/shed/draining) redirects with [`Admission::Try`] through the
-    /// remaining shards in ring order; if every shard rejects, the call
-    /// blocks on the first non-draining shard, and only errs when all
-    /// shards are draining (or the request itself is invalid).
+    /// Submit to the shard [`route`] picks for `key`, blocking on its
+    /// backpressure (see [`ScoringEngine::submit`]). Returns that
+    /// shard's index alongside the pending scores.
     ///
     /// # Errors
     ///
-    /// See [`SubmitError`].
+    /// The routed shard's [`SubmitError`].
     pub fn submit(
         &self,
         key: u16,
@@ -231,54 +107,9 @@ impl ShardedEngine {
         env_ids: Vec<u16>,
         opts: SubmitOptions,
     ) -> Result<(usize, PendingScores), SubmitError> {
-        let primary = self.router.route(key);
-        let n = self.shards.len();
-        // Primary attempt: non-blocking under Redirect (so an overflow
-        // walks instead of waiting), blocking under Reject.
-        let admission = match self.overflow {
-            OverflowPolicy::Reject => Admission::Block,
-            OverflowPolicy::Redirect => Admission::Try,
-        };
-        let mut rejected = match self.shards[primary].submit(features, env_ids, opts, admission) {
-            Ok(pending) => return Ok((primary, pending)),
-            Err(rejected) => rejected,
-        };
-        let redirectable = matches!(
-            rejected.error,
-            SubmitError::QueueFull | SubmitError::Shed | SubmitError::ShuttingDown
-        );
-        if self.overflow == OverflowPolicy::Reject || !redirectable {
-            return Err(rejected.error);
-        }
-        // Redirect walk, ring order from the primary's successor.
-        for step in 1..n {
-            let shard = (primary + step) % n;
-            let Rejected {
-                features, env_ids, ..
-            } = rejected;
-            match self.shards[shard].submit(features, env_ids, opts, Admission::Try) {
-                Ok(pending) => return Ok((shard, pending)),
-                Err(again) => rejected = again,
-            }
-        }
-        // Everything rejected non-blocking: park on the first shard
-        // still taking traffic (ring order keeps this deterministic).
-        for step in 0..n {
-            let shard = (primary + step) % n;
-            if self.shards[shard].is_draining() {
-                continue;
-            }
-            let Rejected {
-                features, env_ids, ..
-            } = rejected;
-            match self.shards[shard].submit(features, env_ids, opts, Admission::Block) {
-                Ok(pending) => return Ok((shard, pending)),
-                // A shard that started draining mid-wait: move on.
-                Err(again) if again.error == SubmitError::ShuttingDown => rejected = again,
-                Err(again) => return Err(again.error),
-            }
-        }
-        Err(SubmitError::ShuttingDown)
+        let shard = route(key, self.shards.len());
+        let pending = self.shards[shard].submit(features, env_ids, opts)?;
+        Ok((shard, pending))
     }
 
     /// Probe-validate `candidate` and swap it into every shard. Shards
@@ -337,12 +168,6 @@ impl ShardedEngine {
             merged.merge(&stamped);
         }
         merged
-    }
-
-    /// The merged tail traces, slowest first (see
-    /// [`ShardedEngine::tail_sampler`]).
-    pub fn tail_traces(&self) -> Vec<RequestTrace> {
-        self.tail_sampler().traces().to_vec()
     }
 
     /// All shards' per-stage request-latency histograms, bucket-merged,
@@ -405,13 +230,6 @@ impl ShardedEngine {
         merged
     }
 
-    /// Stop intake on one shard while its siblings keep serving — the
-    /// chaos suite's "kill a shard" lever, and the first half of an
-    /// explicit per-shard drain.
-    pub fn begin_shutdown_shard(&self, i: usize) {
-        self.shards[i].begin_shutdown();
-    }
-
     /// Stop intake everywhere, drain every shard, and return the final
     /// per-shard telemetry.
     pub fn shutdown(self) -> Vec<EngineStats> {
@@ -433,68 +251,19 @@ mod tests {
 
     #[test]
     fn routes_are_stable_and_cover_all_shards() {
-        let router = ShardRouter::new(4);
-        let again = ShardRouter::new(4); // a "restart": no shared state
+        // Known answers of the splitmix64 spec: persisted routes must
+        // not move across releases.
+        let first: Vec<usize> = (0u16..16).map(|key| route(key, 4)).collect();
+        assert_eq!(first, [3, 1, 2, 1, 2, 2, 0, 3, 2, 0, 2, 1, 3, 3, 2, 1]);
         let mut seen = [false; 4];
         for key in 0u16..256 {
-            let shard = router.route(key);
+            let shard = route(key, 4);
             assert!(shard < 4);
-            assert_eq!(shard, again.route(key), "route must not depend on instance");
             seen[shard] = true;
         }
         assert!(
             seen.iter().all(|&s| s),
             "256 keys should touch all 4 shards"
         );
-    }
-
-    #[test]
-    fn pinning_overrides_the_hash_and_unpin_restores_it() {
-        let mut router = ShardRouter::new(4);
-        let key = 31u16;
-        let hashed = router.route(key);
-        let pinned_to = (hashed + 1) % 4;
-        router.pin(key, pinned_to);
-        assert_eq!(router.route(key), pinned_to);
-        assert_eq!(
-            router.route(key.wrapping_add(1)),
-            ShardRouter::new(4).route(key.wrapping_add(1))
-        );
-        router.unpin(key);
-        assert_eq!(router.route(key), hashed);
-    }
-
-    #[test]
-    fn resharding_is_the_only_route_change() {
-        let mut router = ShardRouter::new(4);
-        router.pin(7, 3);
-        router.pin(9, 1);
-        let wider = router.resharded(8);
-        assert_eq!(wider.pinned().len(), 2, "valid pins survive resharding");
-        let narrower = router.resharded(2);
-        assert_eq!(
-            narrower.pinned().get(&9),
-            Some(&1),
-            "in-range pin survives shrinking"
-        );
-        assert_eq!(
-            narrower.pinned().get(&7),
-            None,
-            "out-of-range pin is dropped"
-        );
-        // And the hash route for an unpinned key is a pure function of
-        // (key, shard count).
-        for key in 0u16..64 {
-            assert_eq!(
-                wider.route(key.wrapping_add(100)),
-                ShardRouter::new(8).route(key.wrapping_add(100))
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "pin target")]
-    fn out_of_range_pin_is_rejected() {
-        ShardRouter::new(2).pin(0, 2);
     }
 }

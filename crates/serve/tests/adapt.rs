@@ -24,7 +24,7 @@ use lightmirm_core::trainers::TrainConfig;
 use lightmirm_metrics::drift::DriftLevel;
 use lightmirm_metrics::rank::auc;
 use lightmirm_serve::{
-    AdaptConfig, AdaptOutcome, Admission, EngineConfig, FeedConfig, LabelFeed, MonitorConfig,
+    AdaptConfig, AdaptOutcome, EngineConfig, FeedConfig, LabelFeed, MonitorConfig,
     PromotionController, ScoringEngine, SubmitOptions,
 };
 use loansim::{generate, temporal_split, GeneratorConfig, ProvinceCatalog};
@@ -210,7 +210,6 @@ fn adaptive_replay(
                 w.feats[r * nf..(r + n) * nf].to_vec(),
                 w.envs[r..r + n].to_vec(),
                 SubmitOptions::default(),
-                Admission::Block,
             )
             .expect("accepted")
             .wait()
@@ -305,12 +304,7 @@ fn adaptation_recovers_at_least_half_the_auc_lost_to_the_shift() {
         .zip(w.shifted_envs.chunks(64))
     {
         engine
-            .submit(
-                chunk_f.to_vec(),
-                chunk_e.to_vec(),
-                SubmitOptions::default(),
-                Admission::Block,
-            )
+            .submit(chunk_f.to_vec(), chunk_e.to_vec(), SubmitOptions::default())
             .expect("accepted")
             .wait()
             .expect("scored");
@@ -379,7 +373,6 @@ fn unsatisfiable_guard_rolls_back_bit_identically_every_time() {
             w.shifted_feats.clone(),
             w.shifted_envs.clone(),
             SubmitOptions::default(),
-            Admission::Block,
         )
         .expect("accepted")
         .wait()
@@ -420,12 +413,7 @@ fn legacy_bundle_without_baseline_leaves_adaptation_inert() {
 
     // Scores are untouched by the inert controller.
     let served = engine
-        .submit(
-            w.feats.clone(),
-            w.envs.clone(),
-            SubmitOptions::default(),
-            Admission::Block,
-        )
+        .submit(w.feats.clone(), w.envs.clone(), SubmitOptions::default())
         .expect("accepted")
         .wait()
         .expect("scored");
@@ -462,7 +450,6 @@ fn concurrent_reloads_serialize_and_keep_bundle_and_monitor_paired() {
                 w.feats[..64 * nf].to_vec(),
                 w.envs[..64].to_vec(),
                 SubmitOptions::default(),
-                Admission::Block,
             )
             .expect("accepted")
             .wait()

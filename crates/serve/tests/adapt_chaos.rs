@@ -27,7 +27,7 @@ use lightmirm_core::failpoint::{self, FailMode, Fault};
 use lightmirm_core::prelude::*;
 use lightmirm_core::trainers::TrainConfig;
 use lightmirm_serve::{
-    AdaptConfig, AdaptOutcome, Admission, EngineConfig, FeedConfig, LabelFeed, MonitorConfig,
+    AdaptConfig, AdaptOutcome, EngineConfig, FeedConfig, LabelFeed, MonitorConfig,
     PromotionController, RollbackReason, ScoringEngine, SubmitOptions,
 };
 use loansim::{generate, temporal_split, GeneratorConfig, ProvinceCatalog};
@@ -144,12 +144,7 @@ fn armed(w: &World) -> (ScoringEngine, LabelFeed) {
     let nf = w.bundle.n_features();
     for (chunk_f, chunk_e) in w.feats.chunks(64 * nf).zip(w.envs.chunks(64)) {
         engine
-            .submit(
-                chunk_f.to_vec(),
-                chunk_e.to_vec(),
-                SubmitOptions::default(),
-                Admission::Block,
-            )
+            .submit(chunk_f.to_vec(), chunk_e.to_vec(), SubmitOptions::default())
             .expect("accepted")
             .wait()
             .expect("scored");
@@ -205,12 +200,7 @@ fn reprime_monitor(engine: &ScoringEngine, w: &World) {
     let nf = w.bundle.n_features();
     for (chunk_f, chunk_e) in w.feats.chunks(64 * nf).zip(w.envs.chunks(64)) {
         engine
-            .submit(
-                chunk_f.to_vec(),
-                chunk_e.to_vec(),
-                SubmitOptions::default(),
-                Admission::Block,
-            )
+            .submit(chunk_f.to_vec(), chunk_e.to_vec(), SubmitOptions::default())
             .expect("accepted")
             .wait()
             .expect("scored");
@@ -359,12 +349,7 @@ fn corrupted_candidate_passes_probe_but_fails_the_canary_guard() {
     // Post-rollback, the engine serves the pristine champion
     // bit-identically.
     let served = engine
-        .submit(
-            w.feats.clone(),
-            w.envs.clone(),
-            SubmitOptions::default(),
-            Admission::Block,
-        )
+        .submit(w.feats.clone(), w.envs.clone(), SubmitOptions::default())
         .expect("accepted")
         .wait()
         .expect("scored");

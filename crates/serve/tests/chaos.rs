@@ -16,7 +16,7 @@ use std::time::Duration;
 use lightmirm_core::failpoint::{self, FailMode, Fault};
 use lightmirm_core::prelude::*;
 use lightmirm_core::trainers::TrainConfig;
-use lightmirm_serve::{Admission, EngineConfig, ScoreError, ScoringEngine, SubmitOptions};
+use lightmirm_serve::{EngineConfig, ScoreError, ScoringEngine, SubmitOptions};
 use loansim::{generate, temporal_split, GeneratorConfig, LoanFrame, ProvinceCatalog};
 
 /// The failpoint registry is process-global: chaos tests run one at a
@@ -103,7 +103,6 @@ fn drive(engine: &ScoringEngine, n: usize) -> Vec<Result<Vec<f64>, ScoreError>> 
                     w.stream.row(k).to_vec(),
                     vec![w.stream.province[k]],
                     SubmitOptions::default(),
-                    Admission::Block,
                 )
                 .expect("accepted")
         })
@@ -278,7 +277,6 @@ fn a_fixed_seed_replays_faults_and_outcomes_identically() {
                         w.stream.row(k).to_vec(),
                         vec![w.stream.province[k]],
                         SubmitOptions::default(),
-                        Admission::Block,
                     )
                     .expect("accepted")
                     .wait()
@@ -339,7 +337,6 @@ fn shutdown_mid_fault_storm_answers_everything() {
                     w.stream.row(k).to_vec(),
                     vec![w.stream.province[k]],
                     SubmitOptions::default(),
-                    Admission::Block,
                 )
                 .expect("accepted")
         })

@@ -9,9 +9,7 @@ use std::time::Duration;
 
 use lightmirm_core::prelude::*;
 use lightmirm_core::trainers::TrainConfig;
-use lightmirm_serve::{
-    Admission, EngineConfig, Priority, ScoringEngine, SubmitError, SubmitOptions,
-};
+use lightmirm_serve::{EngineConfig, Priority, ScoringEngine, SubmitError, SubmitOptions};
 use loansim::{generate, temporal_split, GeneratorConfig, LoanFrame, ProvinceCatalog};
 
 /// Train a small bundle and keep the held-out stream plus its offline
@@ -46,57 +44,45 @@ fn served_world() -> (ModelBundle, LoanFrame, Vec<f64>) {
 }
 
 #[test]
-fn try_submit_contention_answers_every_accepted_request_exactly_once() {
+fn blocking_submit_contention_answers_every_request_exactly_once() {
     let (bundle, stream, offline) = served_world();
-    // Tiny queue + slow dispatch threshold: most `Admission::Try`
-    // submits bounce.
+    // Tiny queue + slow dispatch threshold: eight one-row submitters
+    // against a six-row bound park on the full queue whenever the
+    // workers fall behind.
+    let queue_capacity = 6;
     let engine = Arc::new(ScoringEngine::new(
         bundle,
         EngineConfig {
             max_batch: 4,
             max_wait: Duration::from_micros(100),
-            queue_capacity: 6,
+            queue_capacity,
             workers: 2,
             ..EngineConfig::default()
         },
     ));
     let n = 400.min(stream.len());
     let accepted = Arc::new(AtomicUsize::new(0));
-    let full = Arc::new(AtomicUsize::new(0));
     let answered = Arc::new(AtomicUsize::new(0));
     let handles: Vec<_> = (0..8)
         .map(|t| {
             let engine = Arc::clone(&engine);
             let stream = stream.clone();
             let offline = offline.clone();
-            let (accepted, full, answered) = (
-                Arc::clone(&accepted),
-                Arc::clone(&full),
-                Arc::clone(&answered),
-            );
+            let (accepted, answered) = (Arc::clone(&accepted), Arc::clone(&answered));
             std::thread::spawn(move || {
                 for k in (t..n).step_by(8) {
-                    match engine
+                    let p = engine
                         .submit(
                             stream.row(k).to_vec(),
                             vec![stream.province[k]],
                             SubmitOptions::default(),
-                            Admission::Try,
                         )
-                        .map_err(|rejected| rejected.error)
-                    {
-                        Ok(p) => {
-                            accepted.fetch_add(1, Ordering::SeqCst);
-                            let scores = p.wait().expect("accepted request is answered");
-                            assert_eq!(scores.len(), 1);
-                            assert_eq!(scores[0], offline[k], "wrong score for row {k}");
-                            answered.fetch_add(1, Ordering::SeqCst);
-                        }
-                        Err(SubmitError::QueueFull) => {
-                            full.fetch_add(1, Ordering::SeqCst);
-                        }
-                        Err(e) => panic!("unexpected rejection: {e}"),
-                    }
+                        .unwrap_or_else(|e| panic!("unexpected rejection: {e}"));
+                    accepted.fetch_add(1, Ordering::SeqCst);
+                    let scores = p.wait().expect("accepted request is answered");
+                    assert_eq!(scores.len(), 1);
+                    assert_eq!(scores[0], offline[k], "wrong score for row {k}");
+                    answered.fetch_add(1, Ordering::SeqCst);
                 }
             })
         })
@@ -106,16 +92,13 @@ fn try_submit_contention_answers_every_accepted_request_exactly_once() {
     }
     let engine = Arc::into_inner(engine).expect("all submitters joined");
     let stats = engine.shutdown();
-    assert_eq!(
-        accepted.load(Ordering::SeqCst),
-        answered.load(Ordering::SeqCst)
-    );
-    assert_eq!(stats.rows_scored as usize, accepted.load(Ordering::SeqCst));
-    assert_eq!(stats.rejected_full as usize, full.load(Ordering::SeqCst));
-    assert_eq!(
-        accepted.load(Ordering::SeqCst) + full.load(Ordering::SeqCst),
-        n,
-        "every Admission::Try submit resolved to accept or QueueFull"
+    assert_eq!(accepted.load(Ordering::SeqCst), n, "every submit admitted");
+    assert_eq!(answered.load(Ordering::SeqCst), n);
+    assert_eq!(stats.rows_scored as usize, n);
+    assert!(
+        stats.queue_depth_max <= queue_capacity as u64,
+        "queue depth {} overran its {queue_capacity}-row bound",
+        stats.queue_depth_max
     );
 }
 
@@ -142,15 +125,10 @@ fn oversized_requests_are_rejected_under_concurrency_without_wedging() {
                 for i in 0..50 {
                     // Interleave poison-pill oversized requests with real ones.
                     let err = engine
-                        .submit(
-                            vec![0.0; 9 * nf],
-                            vec![0; 9],
-                            SubmitOptions::default(),
-                            Admission::Try,
-                        )
+                        .submit(vec![0.0; 9 * nf], vec![0; 9], SubmitOptions::default())
                         .expect_err("9 rows can never fit an 8-row queue");
                     assert_eq!(
-                        err.error,
+                        err,
                         SubmitError::RequestTooLarge {
                             rows: 9,
                             capacity: 8
@@ -162,7 +140,6 @@ fn oversized_requests_are_rejected_under_concurrency_without_wedging() {
                             stream.row(k).to_vec(),
                             vec![stream.province[k]],
                             SubmitOptions::default(),
-                            Admission::Block,
                         )
                         .expect("accepted")
                         .wait()
@@ -206,15 +183,11 @@ fn shutdown_vs_submit_race_never_loses_an_accepted_request() {
             std::thread::spawn(move || {
                 for k in (t..600).step_by(6) {
                     let k = k % stream.len();
-                    match engine
-                        .submit(
-                            stream.row(k).to_vec(),
-                            vec![stream.province[k]],
-                            SubmitOptions::default(),
-                            Admission::Try,
-                        )
-                        .map_err(|rejected| rejected.error)
-                    {
+                    match engine.submit(
+                        stream.row(k).to_vec(),
+                        vec![stream.province[k]],
+                        SubmitOptions::default(),
+                    ) {
                         Ok(p) => {
                             accepted.fetch_add(1, Ordering::SeqCst);
                             // Drain guarantee: accepted before/during
@@ -226,7 +199,6 @@ fn shutdown_vs_submit_race_never_loses_an_accepted_request() {
                         Err(SubmitError::ShuttingDown) => {
                             rejected.fetch_add(1, Ordering::SeqCst);
                         }
-                        Err(SubmitError::QueueFull) => {}
                         Err(e) => panic!("unexpected rejection: {e}"),
                     }
                 }
@@ -286,44 +258,28 @@ fn low_priority_traffic_sheds_at_the_watermark() {
     let mut pending = Vec::new();
     for k in 0..4 {
         let (f, e) = one(k);
-        pending.push(
-            engine
-                .submit(f, e, low, Admission::Try)
-                .expect("below watermark"),
-        );
+        pending.push(engine.submit(f, e, low).expect("below watermark"));
     }
     // Low sheds at the watermark; normal traffic still fits.
     let (f, e) = one(4);
-    assert_eq!(
-        engine.submit(f, e, low, Admission::Try).unwrap_err().error,
-        SubmitError::Shed
-    );
+    assert_eq!(engine.submit(f, e, low).unwrap_err(), SubmitError::Shed);
     let (f, e) = one(4);
     pending.push(
         engine
-            .submit(f, e, SubmitOptions::default(), Admission::Try)
+            .submit(f, e, SubmitOptions::default())
             .expect("normal traffic unaffected"),
     );
-    // Blocking low-priority submits shed too (they must not block).
+    // Shedding never parks: a repeat low-priority submit is refused at
+    // once too, although submit parks on a full queue.
     let (f, e) = one(5);
-    assert_eq!(
-        engine
-            .submit(f, e, low, Admission::Block)
-            .unwrap_err()
-            .error,
-        SubmitError::Shed
-    );
+    assert_eq!(engine.submit(f, e, low).unwrap_err(), SubmitError::Shed);
     // High priority also keeps flowing up to the hard bound.
     let (f, e) = one(5);
     let high = SubmitOptions {
         priority: Priority::High,
         ..SubmitOptions::default()
     };
-    pending.push(
-        engine
-            .submit(f, e, high, Admission::Try)
-            .expect("high passes"),
-    );
+    pending.push(engine.submit(f, e, high).expect("high passes"));
 
     let stats = engine.stats();
     assert_eq!(stats.shed_low_priority, 2);
@@ -354,12 +310,7 @@ fn expired_only_batches_answer_deadline_exceeded() {
         ..SubmitOptions::default()
     };
     let p = engine
-        .submit(
-            stream.row(0).to_vec(),
-            vec![stream.province[0]],
-            dead,
-            Admission::Block,
-        )
+        .submit(stream.row(0).to_vec(), vec![stream.province[0]], dead)
         .expect("accepted");
     assert_eq!(
         p.wait().unwrap_err(),
@@ -373,12 +324,7 @@ fn expired_only_batches_answer_deadline_exceeded() {
         ..SubmitOptions::default()
     };
     let p = engine
-        .submit(
-            stream.row(0).to_vec(),
-            vec![stream.province[0]],
-            ok,
-            Admission::Block,
-        )
+        .submit(stream.row(0).to_vec(), vec![stream.province[0]], ok)
         .expect("accepted");
     assert_eq!(p.wait().expect("scored"), vec![offline[0]]);
     engine.shutdown();

@@ -89,12 +89,11 @@ fn replay_traced(
                 tail_samples: 16,
                 ..EngineConfig::default()
             },
-            ..ShardConfig::default()
         },
     );
     let trace = synthesize_trace(tc);
     let outcome = replay(&engine, trace, submitters).expect("trace decodes");
-    let tails = engine.tail_traces();
+    let tails = engine.tail_sampler().traces().to_vec();
     let stats = engine.shutdown();
     let per_shard = stats.iter().map(|s| (s.requests, s.rows_scored)).collect();
     (outcome, per_shard, tails)

@@ -16,7 +16,7 @@ use lightmirm_core::obs::{self, Profile};
 use lightmirm_core::prelude::*;
 use lightmirm_core::trainers::TrainConfig;
 use lightmirm_metrics::drift::DriftLevel;
-use lightmirm_serve::{Admission, EngineConfig, MonitorConfig, ScoringEngine, SubmitOptions};
+use lightmirm_serve::{EngineConfig, MonitorConfig, ScoringEngine, SubmitOptions};
 use loansim::{generate, temporal_split, GeneratorConfig, LoanFrame, ProvinceCatalog};
 
 /// Train a small LightMIRM bundle with a captured drift baseline, and
@@ -97,12 +97,7 @@ fn scores_through_engine(
     for (chunk_f, chunk_e) in feats.chunks(17 * nf).zip(envs.chunks(17)) {
         pending.push(
             engine
-                .submit(
-                    chunk_f.to_vec(),
-                    chunk_e.to_vec(),
-                    SubmitOptions::default(),
-                    Admission::Block,
-                )
+                .submit(chunk_f.to_vec(), chunk_e.to_vec(), SubmitOptions::default())
                 .expect("accepted"),
         );
     }

@@ -9,8 +9,7 @@ use lightmirm_core::lr::LrModel;
 use lightmirm_core::prelude::*;
 use lightmirm_core::trainers::TrainConfig;
 use lightmirm_serve::{
-    Admission, EngineConfig, QuarantineFallback, QuarantinePolicy, ScoreError, ScoringEngine,
-    SubmitOptions,
+    EngineConfig, QuarantineFallback, QuarantinePolicy, ScoreError, ScoringEngine, SubmitOptions,
 };
 use loansim::{generate, temporal_split, GeneratorConfig, LoanFrame, ProvinceCatalog};
 
@@ -86,7 +85,6 @@ fn failed_reload_rolls_back_with_no_inflight_disruption() {
                         stream.row(k).to_vec(),
                         vec![stream.province[k]],
                         SubmitOptions::default(),
-                        Admission::Block,
                     )
                     .expect("accepted")
                     .wait()
@@ -142,7 +140,6 @@ fn reloaded_bundle_actually_serves_subsequent_requests() {
             stream.row(k).to_vec(),
             vec![stream.province[k]],
             SubmitOptions::default(),
-            Admission::Block,
         )
         .expect("accepted")
         .wait()
@@ -168,7 +165,6 @@ fn reloaded_bundle_actually_serves_subsequent_requests() {
             stream.row(k).to_vec(),
             vec![stream.province[k]],
             SubmitOptions::default(),
-            Admission::Block,
         )
         .expect("accepted")
         .wait()
@@ -196,12 +192,7 @@ fn quarantined_rows_error_without_poisoning_batch_neighbors() {
     let mut poisoned = stream.row(0).to_vec();
     poisoned[0] = f32::NAN;
     let bad = engine
-        .submit(
-            poisoned,
-            vec![stream.province[0]],
-            SubmitOptions::default(),
-            Admission::Block,
-        )
+        .submit(poisoned, vec![stream.province[0]], SubmitOptions::default())
         .expect("accepted");
     let mut clean_f = Vec::with_capacity(3 * nf);
     let mut clean_e = Vec::new();
@@ -210,7 +201,7 @@ fn quarantined_rows_error_without_poisoning_batch_neighbors() {
         clean_e.push(stream.province[k]);
     }
     let good = engine
-        .submit(clean_f, clean_e, SubmitOptions::default(), Admission::Block)
+        .submit(clean_f, clean_e, SubmitOptions::default())
         .expect("accepted");
 
     assert_eq!(
@@ -252,7 +243,6 @@ fn prior_fallback_substitutes_instead_of_erroring() {
             features,
             vec![stream.province[0], stream.province[1]],
             SubmitOptions::default(),
-            Admission::Block,
         )
         .expect("accepted");
     let resp = p.wait_detailed().expect("prior fallback answers Ok");

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use lightmirm_core::prelude::*;
 use lightmirm_core::trainers::TrainConfig;
-use lightmirm_serve::{Admission, EngineConfig, ScoringEngine, SubmitError, SubmitOptions};
+use lightmirm_serve::{EngineConfig, ScoringEngine, SubmitError, SubmitOptions};
 use loansim::{generate, temporal_split, GeneratorConfig, LoanFrame, ProvinceCatalog};
 
 /// Train a small LightMIRM bundle and keep the held-out 2020 stream plus
@@ -74,12 +74,7 @@ fn scores_through_engine(
         }
         pending.push(
             engine
-                .submit(
-                    features,
-                    env_ids,
-                    SubmitOptions::default(),
-                    Admission::Block,
-                )
+                .submit(features, env_ids, SubmitOptions::default())
                 .expect("accepted"),
         );
         r += n;
@@ -141,7 +136,7 @@ fn queue_full_backpressure_and_drain_on_shutdown() {
     let (bundle, stream, offline) = served_world();
     let nf = bundle.n_features();
     // Workers only dispatch at 10_000 queued rows or after 10 s — so
-    // submissions pile up deterministically and overflow the bound.
+    // submissions pile up deterministically and fill the bound.
     let engine = ScoringEngine::new(
         bundle,
         EngineConfig {
@@ -159,69 +154,58 @@ fn queue_full_backpressure_and_drain_on_shutdown() {
         let (f, e) = one(k);
         pending.push(
             engine
-                .submit(f, e, SubmitOptions::default(), Admission::Try)
+                .submit(f, e, SubmitOptions::default())
                 .expect("queue has space"),
         );
     }
-    let (f, e) = one(8);
-    let rejected = engine
-        .submit(
-            f.clone(),
-            e.clone(),
-            SubmitOptions::default(),
-            Admission::Try,
-        )
-        .unwrap_err();
-    assert_eq!(rejected.error, SubmitError::QueueFull);
-    // The rejection hands the request's buffers back untouched.
-    assert_eq!(rejected.features, f);
-    assert_eq!(rejected.env_ids, e);
-    let (f, e) = one(8);
-    assert_eq!(
-        engine
-            .submit(
-                vec![0.0; 9 * nf],
-                vec![0; 9],
-                SubmitOptions::default(),
-                Admission::Try
-            )
-            .unwrap_err()
-            .error,
-        SubmitError::RequestTooLarge {
-            rows: 9,
-            capacity: 8
+    std::thread::scope(|s| {
+        // A 9th row cannot fit: its submit parks on the full queue ...
+        let (f, e) = one(8);
+        let blocked = s.spawn(|| engine.submit(f, e, SubmitOptions::default()));
+        let parked_by = std::time::Instant::now() + Duration::from_secs(5);
+        while engine.park_wake_counts().0 == 0 {
+            assert!(
+                std::time::Instant::now() < parked_by,
+                "the 9th submit never parked on the full queue"
+            );
+            std::thread::sleep(Duration::from_millis(1));
         }
-    );
-    // Malformed feature slices are rejected before queueing.
-    assert!(matches!(
-        engine
-            .submit(
-                f[..nf - 1].to_vec(),
-                e,
-                SubmitOptions::default(),
-                Admission::Try
-            )
-            .map_err(|rejected| rejected.error),
-        Err(SubmitError::Malformed { .. })
-    ));
-    // Zero-row requests answer immediately without occupying the queue.
-    assert_eq!(
-        engine
-            .submit(
-                Vec::new(),
-                Vec::new(),
-                SubmitOptions::default(),
-                Admission::Block
-            )
-            .unwrap()
-            .wait()
-            .unwrap(),
-        Vec::<f64>::new()
-    );
+        assert!(!blocked.is_finished(), "a parked submit must not return");
 
-    let stats = engine.stats();
-    assert!(stats.rejected_full >= 1);
-    assert_eq!(stats.queue_depth_max, 8);
+        let (f, e) = one(8);
+        assert_eq!(
+            engine
+                .submit(vec![0.0; 9 * nf], vec![0; 9], SubmitOptions::default())
+                .unwrap_err(),
+            SubmitError::RequestTooLarge {
+                rows: 9,
+                capacity: 8
+            }
+        );
+        // Malformed feature slices are rejected before queueing.
+        assert!(matches!(
+            engine.submit(f[..nf - 1].to_vec(), e, SubmitOptions::default()),
+            Err(SubmitError::Malformed { .. })
+        ));
+        // Zero-row requests answer immediately without occupying the queue.
+        assert_eq!(
+            engine
+                .submit(Vec::new(), Vec::new(), SubmitOptions::default())
+                .unwrap()
+                .wait()
+                .unwrap(),
+            Vec::<f64>::new()
+        );
+        let stats = engine.stats();
+        assert_eq!(stats.queue_depth_max, 8);
+
+        // ... until the drain begins, which refuses it.
+        engine.begin_shutdown();
+        assert_eq!(
+            blocked.join().expect("blocked submitter").unwrap_err(),
+            SubmitError::ShuttingDown
+        );
+    });
 
     // Graceful drain: shutdown flushes all 8 queued requests.
     let stats = engine.shutdown();
@@ -263,7 +247,6 @@ fn blocking_submit_waits_for_space_instead_of_failing() {
                             stream.row(k).to_vec(),
                             vec![stream.province[k]],
                             SubmitOptions::default(),
-                            Admission::Block,
                         )
                         .expect("accepted")
                         .wait()

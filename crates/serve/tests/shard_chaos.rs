@@ -2,12 +2,12 @@
 //! target one shard while its siblings keep serving. Compiled only
 //! under `--features failpoints`.
 //!
-//! Verified here: a draining shard's traffic redirects and every reply
-//! stays bit-identical; registry eviction under memory pressure never
-//! touches an active champion; per-shard hot reloads racing live
-//! traffic keep each shard's bundle⇔drift-monitor pairing intact; and
-//! shutdown under a full queue cannot deadlock with a producer blocked
-//! in `submit` (the drain-on-shutdown regression test).
+//! Verified here: a draining shard refuses its keys at once while its
+//! accepted requests and every sibling's replies stay bit-identical;
+//! per-shard hot reloads racing live traffic keep each shard's
+//! bundle⇔drift-monitor pairing intact; and shutdown under a full queue
+//! cannot deadlock with a producer blocked in `submit` (the
+//! drain-on-shutdown regression test).
 
 #![cfg(feature = "failpoints")]
 
@@ -18,9 +18,9 @@ use lightmirm_core::bundle::DriftBaseline;
 use lightmirm_core::failpoint::{self, FailMode, Fault};
 use lightmirm_core::prelude::*;
 use lightmirm_core::trainers::TrainConfig;
-use lightmirm_serve::registry::{ModelRegistry, RegistryConfig, RegistryError};
+use lightmirm_serve::shard::route;
 use lightmirm_serve::{
-    EngineConfig, MonitorConfig, OverflowPolicy, ShardConfig, ShardedEngine, SubmitOptions,
+    EngineConfig, MonitorConfig, ShardConfig, ShardedEngine, SubmitError, SubmitOptions,
 };
 use loansim::{generate, temporal_split, GeneratorConfig, LoanFrame, ProvinceCatalog};
 
@@ -92,7 +92,7 @@ fn hush_worker_panics() {
 }
 
 #[test]
-fn a_draining_shards_flood_redirects_while_siblings_hold_deadline() {
+fn a_draining_shard_refuses_its_keys_while_siblings_hold_deadline() {
     let _g = CHAOS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     hush_worker_panics();
     let w = world();
@@ -118,8 +118,6 @@ fn a_draining_shards_flood_redirects_while_siblings_hold_deadline() {
                 max_attempts: 4,
                 ..EngineConfig::default()
             },
-            overflow: OverflowPolicy::Redirect,
-            ..ShardConfig::default()
         },
     );
     let n = w.stream.len().min(1_200);
@@ -128,21 +126,34 @@ fn a_draining_shards_flood_redirects_while_siblings_hold_deadline() {
         ..SubmitOptions::default()
     };
     let mut pending = Vec::with_capacity(n);
+    let (mut accepted_on_0, mut refused) = (0u64, 0usize);
     for (k, &province) in w.stream.province.iter().enumerate().take(n) {
         if k == n / 2 {
-            // Kill shard 0 mid-flood. Routed traffic for its keys must
-            // redirect to siblings from here on; its queued requests
-            // drain to completion.
-            engine.begin_shutdown_shard(0);
+            // Kill shard 0 mid-flood. Its keys are refused from here on
+            // (no request moves to a sibling); its queued requests drain
+            // to completion.
+            engine.shard(0).begin_shutdown();
         }
-        let (shard, p) = engine
-            .submit(province, w.stream.row(k).to_vec(), vec![province], opts)
-            .expect("redirect policy keeps accepting while any shard lives");
-        if k > n / 2 {
-            assert_ne!(shard, 0, "request {k} routed to a draining shard");
+        let routed = route(province, 4);
+        match engine.submit(province, w.stream.row(k).to_vec(), vec![province], opts) {
+            Ok((shard, p)) => {
+                assert_eq!(shard, routed, "request {k} left its route");
+                assert!(
+                    k < n / 2 || shard != 0,
+                    "request {k} accepted by a draining shard"
+                );
+                accepted_on_0 += u64::from(shard == 0);
+                pending.push((k, p));
+            }
+            Err(e) => {
+                assert_eq!(e, SubmitError::ShuttingDown, "request {k}");
+                assert!(k >= n / 2 && routed == 0, "request {k} refused: {e}");
+                refused += 1;
+            }
         }
-        pending.push((k, p));
     }
+    assert!(refused > 0, "no key of the second half routes to shard 0");
+    let accepted = pending.len();
     for (k, p) in pending {
         let scores = p
             .wait()
@@ -157,7 +168,16 @@ fn a_draining_shards_flood_redirects_while_siblings_hold_deadline() {
     let stats = engine.shutdown();
     failpoint::clear();
     let total: u64 = stats.iter().map(|s| s.rows_scored).sum();
-    assert_eq!(total as usize, n, "every row answered exactly once");
+    assert_eq!(total as usize, accepted, "every row answered exactly once");
+    assert_eq!(accepted + refused, n);
+    assert!(
+        accepted_on_0 > 0,
+        "shard 0 accepted nothing before its drain"
+    );
+    assert_eq!(
+        stats[0].rows_scored, accepted_on_0,
+        "the draining shard answered its accepted requests"
+    );
     assert_eq!(stats.iter().map(|s| s.expired).sum::<u64>(), 0);
     assert_eq!(
         stats[1].worker_panics, 3,
@@ -168,51 +188,6 @@ fn a_draining_shards_flood_redirects_while_siblings_hold_deadline() {
         (1..4).all(|i| stats[i].rows_scored > 0),
         "surviving shards all kept scoring: {stats:?}"
     );
-}
-
-#[test]
-fn registry_eviction_under_pressure_never_evicts_the_active_champion() {
-    let _g = CHAOS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let w = world();
-    let one = w.bundle.to_json().len();
-    // Room for two resident bundles, not three.
-    let reg = ModelRegistry::new(&RegistryConfig {
-        budget_bytes: 2 * one + one / 2,
-    });
-    reg.insert(1, w.bundle.clone()).expect("first fits");
-    reg.mark_active(1); // tenant 1's serving champion: unevictable
-    reg.insert(2, w.bundle.clone()).expect("second fits");
-
-    // Pressure: the third insert must evict, and the only legal victim
-    // is the inactive tenant 2.
-    reg.insert(3, w.bundle.clone()).expect("evicts an inactive");
-    assert!(reg.contains(1), "active champion evicted under pressure");
-    assert!(!reg.contains(2));
-    assert!(reg.contains(3));
-    assert_eq!(reg.evictions(), 1);
-
-    // With every resident pinned, an insert that cannot fit fails
-    // loudly and leaves the residents untouched.
-    reg.mark_active(3);
-    let before = reg.resident();
-    let err = reg
-        .insert(4, w.bundle.clone())
-        .expect_err("nothing evictable");
-    match err {
-        RegistryError::BudgetExceeded { need, pinned, .. } => {
-            assert_eq!(need, one);
-            assert_eq!(pinned, 2 * one);
-        }
-    }
-    assert_eq!(reg.resident(), before, "failed insert mutated residents");
-
-    // Retiring a champion makes it evictable again.
-    reg.clear_active(1);
-    reg.insert(4, w.bundle.clone())
-        .expect("retired champion evicts");
-    assert!(!reg.contains(1));
-    assert!(reg.contains(3) && reg.contains(4));
-    assert!(reg.bytes_used() <= reg.budget_bytes());
 }
 
 #[test]
@@ -265,7 +240,6 @@ fn per_shard_reloads_racing_traffic_keep_bundle_and_monitor_paired() {
                 monitor: Some(MonitorConfig::default()),
                 ..EngineConfig::default()
             },
-            ..ShardConfig::default()
         },
     ));
     let n = w.stream.len().min(1_500);
@@ -347,7 +321,6 @@ fn shutdown_under_a_full_queue_cannot_deadlock_a_blocked_producer() {
                 workers: 1,
                 ..EngineConfig::default()
             },
-            ..ShardConfig::default()
         },
     ));
     let (done_tx, done_rx) = mpsc::channel();
@@ -388,7 +361,7 @@ fn shutdown_under_a_full_queue_cannot_deadlock_a_blocked_producer() {
     // 10ms each against a 300-row backlog), then pull the plug.
     std::thread::sleep(Duration::from_millis(150));
     assert!(engine.shard(0).queued_rows() > 0, "queue never filled");
-    engine.begin_shutdown_shard(0);
+    engine.shard(0).begin_shutdown();
     // The regression under test: the blocked producer must wake, see
     // ShuttingDown, and finish — not sleep forever on a condvar no
     // worker will ever signal again.

@@ -2,10 +2,9 @@
 //! sharded-vs-single-engine-vs-offline bit-identity, and seeded MPMC
 //! proptests over the lock-free ring.
 //!
-//! The routing contract under test: the router is a pure function of
-//! `(shard count, pinning table)` — the same key routes to the same
-//! shard across process restarts, and routes change **only** through
-//! explicit resharding or pinning, never as a side effect of traffic,
+//! The routing contract under test: a route is a pure function of
+//! `(key, shard count)` — the same key routes to the same shard across
+//! process restarts, never changing as a side effect of traffic,
 //! reloads, or time.
 
 use std::sync::{Arc, Mutex, OnceLock};
@@ -14,9 +13,8 @@ use std::time::Duration;
 use lightmirm_core::prelude::*;
 use lightmirm_core::trainers::TrainConfig;
 use lightmirm_serve::ring::MpmcRing;
-use lightmirm_serve::{
-    EngineConfig, Priority, ShardConfig, ShardRouter, ShardedEngine, SubmitOptions,
-};
+use lightmirm_serve::shard::route;
+use lightmirm_serve::{EngineConfig, Priority, ShardConfig, ShardedEngine, SubmitOptions};
 use loansim::{generate, temporal_split, GeneratorConfig, LoanFrame, ProvinceCatalog};
 use proptest::prelude::*;
 
@@ -72,25 +70,8 @@ fn world() -> &'static World {
 
 #[test]
 fn the_same_key_routes_to_the_same_shard_across_restarts() {
-    // "Restart" = constructing a fresh router (or front end) from the
-    // same configuration. The full route map over the key space must be
-    // identical, including with a pinning table.
-    let before: Vec<usize> = (0..=u16::MAX)
-        .map(|k| ShardRouter::new(5).route(k))
-        .collect();
-    let after: Vec<usize> = (0..=u16::MAX)
-        .map(|k| ShardRouter::new(5).route(k))
-        .collect();
-    assert_eq!(before, after, "routing must survive a restart");
-
-    let pins: std::collections::BTreeMap<u16, usize> = [(7u16, 0usize), (4000, 3)].into();
-    let a = ShardRouter::with_pinning(5, pins.clone());
-    let b = ShardRouter::with_pinning(5, pins);
-    for k in 0..=u16::MAX {
-        assert_eq!(a.route(k), b.route(k));
-    }
-
-    // The front end exposes the identical router.
+    // "Restart" = constructing a fresh front end from the same
+    // configuration: every one must submit each key to `route(key, 5)`.
     let w = world();
     let cfg = ShardConfig {
         shards: 5,
@@ -98,51 +79,35 @@ fn the_same_key_routes_to_the_same_shard_across_restarts() {
             workers: 1,
             ..EngineConfig::default()
         },
-        ..ShardConfig::default()
     };
-    let engine = ShardedEngine::new(&w.bundle, &cfg);
-    for k in (0..=u16::MAX).step_by(97) {
-        assert_eq!(engine.router().route(k), ShardRouter::new(5).route(k));
-    }
-    engine.shutdown();
-}
-
-#[test]
-fn routes_change_only_on_explicit_resharding_or_pinning() {
-    let base = ShardRouter::new(4);
-    let snapshot: Vec<usize> = (0..2048).map(|k| base.route(k)).collect();
-
-    // Querying is not a mutation: the map is unchanged after a sweep.
-    for _ in 0..3 {
-        let again: Vec<usize> = (0..2048).map(|k| base.route(k)).collect();
-        assert_eq!(snapshot, again);
-    }
-
-    // Resharding to the same count is the identity.
-    let same = base.resharded(4);
-    for k in 0..2048 {
-        assert_eq!(base.route(k), same.route(k));
-    }
-
-    // Resharding to a different count is the ONLY implicit route change,
-    // and it must actually move some keys (else it isn't resharding).
-    let wider = base.resharded(6);
-    assert!((0..2048).any(|k| base.route(k) != wider.route(k)));
-
-    // Pinning moves exactly the pinned key.
-    let mut pinned = base.resharded(4);
-    let key = 1234u16;
-    let target = (base.route(key) + 1) % 4;
-    pinned.pin(key, target);
-    assert_eq!(pinned.route(key), target);
-    for k in 0..2048 {
-        if k != key {
-            assert_eq!(pinned.route(k), base.route(k), "unpinned key {k} moved");
+    for restart in 0..2 {
+        let engine = ShardedEngine::new(&w.bundle, &cfg);
+        let pending: Vec<_> = (0..=u16::MAX)
+            .step_by(97)
+            .map(|k| {
+                let (shard, p) = engine
+                    .submit(
+                        k,
+                        w.stream.row(0).to_vec(),
+                        vec![w.stream.province[0]],
+                        SubmitOptions::default(),
+                    )
+                    .expect("accepted");
+                assert_eq!(
+                    shard,
+                    route(k, 5),
+                    "key {k} left its route on run {restart}"
+                );
+                p
+            })
+            .collect();
+        for p in pending {
+            assert_eq!(
+                p.wait().expect("scored")[0].to_bits(),
+                w.offline[0].to_bits()
+            );
         }
-    }
-    pinned.unpin(key);
-    for k in 0..2048 {
-        assert_eq!(pinned.route(k), base.route(k));
+        engine.shutdown();
     }
 }
 
@@ -164,7 +129,6 @@ fn scores_through_sharded(w: &World, shards: usize, workers: usize) -> Vec<f64> 
                 workers,
                 ..EngineConfig::default()
             },
-            ..ShardConfig::default()
         },
     );
     let nf = w.bundle.n_features();
@@ -246,7 +210,6 @@ fn concurrent_mixed_priority_submits_across_shards_lose_and_duplicate_nothing() 
                 workers: 2,
                 ..EngineConfig::default()
             },
-            ..ShardConfig::default()
         },
     ));
     let submitters = 4usize;

@@ -9,6 +9,9 @@
 #
 # `--all-targets` deliberately excludes doctests: their auto-generated
 # names embed line numbers and would churn on every unrelated edit.
+# `lightmirm-serve/failpoints` (which turns on `lightmirm-core/failpoints`)
+# brings the failpoint-gated chaos and durability suites into the
+# listing, so their names are guarded too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,7 +19,7 @@ baseline=ci/tier1-test-names.txt
 current=$(mktemp)
 trap 'rm -f "$current"' EXIT
 
-cargo test --workspace --all-targets -q -- --list 2>/dev/null \
+cargo test --workspace --all-targets --features lightmirm-serve/failpoints -q -- --list 2>/dev/null \
   | sed -n 's/: test$//p' | sort -u > "$current"
 
 if ! [ -s "$current" ]; then
