@@ -8,7 +8,7 @@
 //! weight to the raw features on its path yields an additive,
 //! faithful-by-construction explanation of the score.
 
-use lightmirm_gbdt::{Gbdt, Node, Tree};
+use lightmirm_gbdt::{Gbdt, Tree};
 
 use crate::lr::{sigmoid, LrModel};
 
@@ -60,28 +60,12 @@ impl Explanation {
 /// Collect the raw features compared on the root-to-leaf path of `row`.
 fn path_features(tree: &Tree, row: &[f32]) -> Vec<u32> {
     let mut features = Vec::new();
-    let mut node = 0usize;
-    loop {
-        match tree.nodes()[node] {
-            Node::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            } => {
-                if !features.contains(&feature) {
-                    features.push(feature);
-                }
-                let v = row[feature as usize];
-                node = if v <= threshold {
-                    left as usize
-                } else {
-                    right as usize
-                };
-            }
-            Node::Leaf { .. } => return features,
+    tree.route_with(row, |feature| {
+        if !features.contains(&feature) {
+            features.push(feature);
         }
-    }
+    });
+    features
 }
 
 /// Explain one raw feature row under a GBDT extractor and LR head.

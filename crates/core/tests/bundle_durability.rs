@@ -8,6 +8,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use lightmirm_core::prelude::*;
 use lightmirm_core::trainers::TrainConfig;
+use lightmirm_gbdt::Node;
 use loansim::{generate, temporal_split, GeneratorConfig, ProvinceCatalog};
 
 /// A scratch file path that cleans itself up.
@@ -164,6 +165,104 @@ fn missing_files_surface_io_errors() {
         ModelBundle::load_from_path(&path.0),
         Err(BundleError::Io(_))
     ));
+}
+
+/// CRC-32 (IEEE, reflected), bit by bit: the envelope's checksum.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                0xedb8_8320 ^ (crc >> 1)
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+/// `json` in an envelope whose length and checksum are right, so only
+/// the payload's content can reject it.
+fn envelope(json: &str) -> String {
+    format!(
+        "LMIRM-BUNDLE v1 crc32={:08x} len={}\n{json}",
+        crc32(json.as_bytes()),
+        json.len()
+    )
+}
+
+/// `json` with the number after its first `"key":` replaced by `value`.
+fn set_first(json: &str, key: &str, value: &str) -> String {
+    let pat = format!("\"{key}\":");
+    let start = json.find(&pat).expect("key present") + pat.len();
+    let end = start
+        + json[start..]
+            .find([',', '}'])
+            .expect("number is followed by a delimiter");
+    format!("{}{value}{}", &json[..start], &json[end..])
+}
+
+/// Load a hostile `json` both enveloped and bare: each must be
+/// `Malformed`, with a message naming the offending tree and node.
+fn assert_hostile_rejected(bundle: &ModelBundle, json: &str, names: &str) {
+    assert_eq!(envelope(&bundle.to_json()), bundle.to_envelope());
+    let path = Scratch::new("hostile");
+    for text in [envelope(json), json.to_string()] {
+        std::fs::write(&path.0, text).expect("write hostile");
+        let err = ModelBundle::load_from_path(&path.0).expect_err("hostile tree must not load");
+        assert!(
+            matches!(err, BundleError::Malformed(_)),
+            "{err}, expected Malformed"
+        );
+        assert!(
+            err.to_string().contains(names),
+            "{err} does not name {names}"
+        );
+    }
+}
+
+#[test]
+fn a_split_pointing_at_itself_is_malformed_not_an_endless_walk() {
+    let (bundle, _, _) = demo_bundle();
+    assert!(matches!(
+        bundle.extractor.tree(0).nodes()[0],
+        Node::Split { left: 1, .. }
+    ));
+    // Tree 0's root is the payload's first split.
+    let json = set_first(&bundle.to_json(), "left", "0");
+    assert_hostile_rejected(&bundle, &json, "tree 0, node 0: child 0");
+}
+
+#[test]
+fn a_split_on_a_feature_past_the_row_is_malformed_not_a_scoring_panic() {
+    let (bundle, _, _) = demo_bundle();
+    let json = set_first(&bundle.to_json(), "feature", "4600000");
+    let names = format!(
+        "tree 0, node 0: splits on feature 4600000 of {}",
+        bundle.n_features()
+    );
+    assert_hostile_rejected(&bundle, &json, &names);
+}
+
+#[test]
+fn a_leaf_index_past_its_tree_is_malformed_not_a_silent_misroute() {
+    let (bundle, _, _) = demo_bundle();
+    let tree = bundle.extractor.tree(0);
+    let node = tree
+        .nodes()
+        .iter()
+        .position(|n| matches!(n, Node::Leaf { .. }))
+        .expect("a tree has a leaf");
+    // Leaf `n_leaves` of tree 0 would be leaf 0 of tree 1.
+    let n_leaves = tree.n_leaves().to_string();
+    let json = set_first(&bundle.to_json(), "index", &n_leaves);
+    assert_hostile_rejected(
+        &bundle,
+        &json,
+        &format!("tree 0, node {node}: leaf index {n_leaves}"),
+    );
 }
 
 /// The failpoint registry is process-global; serialize the tests that

@@ -65,7 +65,17 @@ impl Tree {
     }
 
     /// Route a raw feature row to its leaf; returns `(leaf index, value)`.
+    ///
+    /// This is the per-row reference that [`crate::Gbdt`]'s leaf transform
+    /// is tested against, and the value path of fitting (the bagged and
+    /// validation score updates).
     pub fn route(&self, row: &[f32]) -> (u32, f64) {
+        self.route_with(row, |_| {})
+    }
+
+    /// [`Tree::route`], calling `on_split` with the feature of every split
+    /// on the root-to-leaf path, in path order.
+    pub fn route_with(&self, row: &[f32], mut on_split: impl FnMut(u32)) -> (u32, f64) {
         let mut node = 0usize;
         loop {
             match self.nodes[node] {
@@ -75,6 +85,7 @@ impl Tree {
                     left,
                     right,
                 } => {
+                    on_split(feature);
                     // NaN routes right (treated as "greater"), matching the
                     // binning rule that unseen values land high.
                     let v = row[feature as usize];
