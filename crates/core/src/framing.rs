@@ -96,17 +96,21 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Materialize the env-id payload.
+    /// Materialize the env-id payload in one pass over its bytes.
     pub fn env_ids(&self) -> Vec<u16> {
-        let mut buf = self.env_ids.clone();
-        (0..self.header.rows).map(|_| buf.get_u16_le()).collect()
+        self.env_ids
+            .chunks_exact(2)
+            .map(|b| u16::from_le_bytes([b[0], b[1]]))
+            .collect()
     }
 
-    /// Materialize the feature payload (row-major).
+    /// Materialize the feature payload (row-major) in one pass over its
+    /// bytes.
     pub fn features(&self) -> Vec<f32> {
-        let mut buf = self.features.clone();
-        let n = self.header.rows as usize * self.header.n_features as usize;
-        (0..n).map(|_| buf.get_f32_le()).collect()
+        self.features
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect()
     }
 
     /// The raw env-id bytes (slice of the decoded buffer's allocation).
@@ -324,6 +328,31 @@ mod tests {
         assert_eq!(frames.len(), 4);
         assert_eq!(frames[3].header.route_key, 3);
         assert_eq!(frames[3].header.rows, 5);
+    }
+
+    #[test]
+    fn adjacent_frames_decode_to_exactly_their_own_payloads() {
+        // Two frames back to back in one allocation. Each frame's payload
+        // views must stop at its own end: the first frame's env ids may
+        // not run into its features, nor its features into the second
+        // frame's header.
+        let (env_a, feat_a) = sample(3, 4, 1);
+        let env_b = vec![6u16, u16::MAX];
+        let feat_b = vec![f32::NAN, -0.0, f32::INFINITY, 1e-40, 7.5, f32::MIN];
+        let mut buf = BytesMut::new();
+        encode_frame(&mut buf, 1, 1, 0, 4, &env_a, &feat_a);
+        encode_frame(&mut buf, 2, 2, 9, 3, &env_b, &feat_b);
+        let frames: Vec<Frame> = FrameReader::new(buf.freeze())
+            .collect::<Result<_, _>>()
+            .expect("both frames decode");
+        assert_eq!(frames.len(), 2);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for (frame, env, feat) in [(&frames[0], &env_a, &feat_a), (&frames[1], &env_b, &feat_b)] {
+            assert_eq!(&frame.env_ids(), env);
+            assert_eq!(bits(&frame.features()), bits(feat));
+            assert_eq!(frame.env_id_bytes().len(), env.len() * 2);
+            assert_eq!(frame.feature_bytes().len(), feat.len() * 4);
+        }
     }
 
     #[test]

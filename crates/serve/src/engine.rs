@@ -7,13 +7,21 @@
 //! blocked submitters) exists **solely** for parked-thread wakeup — the
 //! notifier brackets the mutex before notifying, pairing with the
 //! waiter's re-check under the same mutex, so a wakeup can never be
-//! missed while the hot path stays lock-free. Workers pull whole
-//! requests — a request is never split across micro-batches — until the
-//! batch reaches `max_batch` rows, the oldest queued request ages past
-//! `max_wait`, or shutdown is draining. Reserved rows are released at
-//! dispatch (not at ring pop), so backpressure and the shed watermark
-//! see coalescing batches as still queued, exactly as the mutex-guarded
-//! queue did. Each batch is scored in one
+//! missed while the hot path stays lock-free.
+//!
+//! A thread is signalled only when the signal changes what it does. At
+//! most one worker holds the forming micro-batch: it pops the oldest
+//! request, sleeps to that request's `max_wait` deadline, then drains
+//! the ring up to `max_batch` rows — whole requests only, a request is
+//! never split across micro-batches. A worker that frees up meanwhile
+//! goes idle rather than open a second batch from the same ring. A
+//! submit wakes one idle worker only when no batch is forming, and every
+//! worker only when the rows admitted but not yet dispatched reach
+//! `max_batch` (or the engine drains); otherwise it only pushes.
+//! Reserved rows are released at dispatch (not at ring pop), so
+//! backpressure and the shed watermark see coalescing batches as still
+//! queued, and a dispatch signals `not_full` only when a submitter is
+//! parked. Each batch is scored in one
 //! [`ModelBundle::score_batch_quarantined`] call and the scores are
 //! fanned back out through per-request channels.
 //!
@@ -46,7 +54,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -345,18 +353,22 @@ struct Request {
 }
 
 /// The in-flight half of a request trace: submit-side stage latencies
-/// measured before the push, plus the pop timestamp slot filled as the
-/// request leaves the ring. The remaining stages are computed from the
-/// batch timeline at fan-out.
+/// measured before the push, plus the slot for the moment the request
+/// joined its batch. The remaining stages are computed from the batch
+/// timeline at fan-out.
 struct TraceCtx {
     request_id: u64,
     /// Submit entry → push, minus park time: the admission CAS loop.
     admission_ns: u64,
     /// Blocked in the not-full condvar wait.
     park_ns: u64,
-    /// When the request was popped from the ring (stamped in `fill`;
-    /// re-stamped if the request is returned and popped again).
-    popped_at: Option<Instant>,
+    /// Stage boundary t1, the end of the `ring` stage: the later of the
+    /// push and the opening of the batch that takes the request. A
+    /// request pushed while a batch is forming waits in the ring until
+    /// the batch seals, but that wait is coalescing, so it counts as
+    /// `batch` and its `ring` stage is 0. Stamped in `fill`, and again
+    /// if the request is returned and taken by a later batch.
+    joined_at: Option<Instant>,
 }
 
 impl Request {
@@ -448,22 +460,28 @@ impl WorkQueue {
         self.retry_len.load(Ordering::SeqCst) > 0 || !self.ring.is_empty()
     }
 
-    /// Pop whole requests into `batch` until it holds `max_batch` rows.
-    /// Never splits a request; an oversized request starting a batch
-    /// dispatches alone; a request that would overflow a non-empty batch
-    /// goes back to the queue head untouched. Returns `true` when the
-    /// row budget is met (caller dispatches immediately), `false` when
-    /// the queue ran dry first.
-    fn fill(&self, batch: &mut Vec<Request>, rows: &mut usize, max_batch: usize) -> bool {
+    /// Pop whole requests into `batch`, opened at `opened`, until it
+    /// holds `max_batch` rows. Never splits a request; an oversized
+    /// request starting a batch dispatches alone; a request that would
+    /// overflow a non-empty batch goes back to the queue head untouched.
+    /// Returns `true` when the row budget is met (caller dispatches
+    /// immediately), `false` when the queue ran dry first.
+    fn fill(
+        &self,
+        batch: &mut Vec<Request>,
+        rows: &mut usize,
+        max_batch: usize,
+        opened: Instant,
+    ) -> bool {
         while *rows < max_batch {
             let Some(mut req) = self.pop() else {
                 return false;
             };
-            // Stamp the ring-exit timestamp (stage boundary t1). Always
-            // overwritten: after a budget push-back or panic requeue the
-            // final pop is the one that leads to delivery.
+            // Stamp stage boundary t1 (see `TraceCtx::joined_at`).
+            // Always overwritten: after a budget push-back or panic
+            // requeue the batch that delivers is the one that counts.
             if let Some(t) = req.trace.as_mut() {
-                t.popped_at = Some(Instant::now());
+                t.joined_at = Some(opened.max(req.enqueued_at));
             }
             let next = req.env_ids.len();
             if !batch.is_empty() && *rows + next > max_batch {
@@ -638,6 +656,25 @@ struct Shared {
     park: Mutex<()>,
     not_empty: Condvar,
     not_full: Condvar,
+    /// Whether a worker holds the forming micro-batch; at most one does.
+    /// The holder registers (`false` → `true`) before it pops the
+    /// batch's first request and before any re-check under the park
+    /// mutex, and unregisters when it seals the batch.
+    ///
+    /// No lost wakeup: a submit pushes, fences (SeqCst), then reads this
+    /// flag, and skips its signal only when it reads `true`. A holder
+    /// unregisters, fences, then drains the ring once more. One of the
+    /// two fences comes first in the SeqCst order. If the submit's does,
+    /// the holder's final drain sees the push. If the holder's does, the
+    /// submit reads `false` and signals, or reads a later holder's
+    /// registration, and that holder owes the same final drain.
+    forming: AtomicBool,
+    /// Submitters parked, or about to park, on `not_full`. A submitter
+    /// counts itself in under the park mutex before it re-checks the row
+    /// counter; a dispatch releases rows before it reads this count (all
+    /// SeqCst). So either the re-check sees the freed rows, or the
+    /// dispatch sees the count and brackets the mutex to signal.
+    parked_submitters: AtomicUsize,
     /// Precomputed (possibly shard-scoped) failpoint site names.
     sites: FailSites,
     metrics: Mutex<Metrics>,
@@ -679,15 +716,22 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Bracket the park mutex, then wake. Pairs with a waiter that
-    /// re-checks its condition under the same mutex before waiting: the
-    /// bracket cannot complete between the waiter's re-check and its
-    /// wait, so the state change is either seen by the re-check or the
-    /// notify lands after the wait began.
-    fn wake(&self, cv: &Condvar) {
+    /// Bracket the park mutex, then wake one waiter on `cv`, or every
+    /// waiter with `all`. Pairs with a waiter that re-checks its
+    /// condition under the same mutex before waiting: the bracket cannot
+    /// complete between the waiter's re-check and its wait, so the state
+    /// change is either seen by the re-check or the notify lands after
+    /// the wait began. A single notify may reach any waiter; each one
+    /// re-checks, so whichever wakes either takes the work or sees that
+    /// the forming batch's worker owns it.
+    fn wake(&self, cv: &Condvar, all: bool) {
         self.wakeups.fetch_add(1, Ordering::Relaxed);
         drop(lock(&self.park));
-        cv.notify_all();
+        if all {
+            cv.notify_all();
+        } else {
+            cv.notify_one();
+        }
     }
 }
 
@@ -739,6 +783,8 @@ impl ScoringEngine {
             park: Mutex::new(()),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
+            forming: AtomicBool::new(false),
+            parked_submitters: AtomicUsize::new(0),
             sites,
             metrics: Mutex::new(Metrics::default()),
             respawned: Mutex::new(Vec::new()),
@@ -840,10 +886,13 @@ impl ScoringEngine {
                 }
                 continue;
             }
-            // Park until a dispatch frees rows. Re-check under the park
-            // mutex (see `Shared::wake` for the pairing argument).
+            // Park until a dispatch frees rows. Count in, then re-check
+            // under the park mutex (see `Shared::parked_submitters` and
+            // `Shared::wake` for the pairing argument).
             let guard = lock(&shared.park);
+            shared.parked_submitters.fetch_add(1, Ordering::SeqCst);
             if shared.is_shutdown() || queued.load(Ordering::SeqCst) + rows <= capacity {
+                shared.parked_submitters.fetch_sub(1, Ordering::SeqCst);
                 continue;
             }
             shared.submitter_parks.fetch_add(1, Ordering::Relaxed);
@@ -854,6 +903,7 @@ impl ScoringEngine {
                     .wait(guard)
                     .unwrap_or_else(std::sync::PoisonError::into_inner),
             );
+            shared.parked_submitters.fetch_sub(1, Ordering::SeqCst);
             if let Some(t) = park_start {
                 park_ns += t.elapsed().as_nanos() as u64;
             }
@@ -865,7 +915,11 @@ impl ScoringEngine {
         // wait for the push below.
         if shared.is_shutdown() {
             queued.fetch_sub(rows, Ordering::SeqCst);
-            shared.wake(&shared.not_full);
+            // Release, then read the parked count, as `dispatch` does
+            // (see `Shared::parked_submitters`).
+            if shared.parked_submitters.load(Ordering::SeqCst) > 0 {
+                shared.wake(&shared.not_full, true);
+            }
             return Err(SubmitError::ShuttingDown);
         }
         let now = Instant::now();
@@ -882,7 +936,7 @@ impl ScoringEngine {
             }),
             admission_ns: ((now - submitted_at).as_nanos() as u64).saturating_sub(park_ns),
             park_ns,
-            popped_at: None,
+            joined_at: None,
         });
         shared.queue.push(Request {
             features,
@@ -894,8 +948,20 @@ impl ScoringEngine {
             responder: tx,
             trace,
         });
-        let depth = queued.load(Ordering::Relaxed);
-        shared.wake(&shared.not_empty);
+        // Push, fence, then read: the order the no-lost-wakeup argument
+        // on `Shared::forming` needs from a submit that skips its signal.
+        fence(Ordering::SeqCst);
+        let depth = queued.load(Ordering::SeqCst);
+        if depth >= shared.cfg.max_batch {
+            // A full batch is waiting: the forming batch's worker seals
+            // it now, and idle siblings may take what it leaves.
+            shared.wake(&shared.not_empty, true);
+        } else if !shared.forming.load(Ordering::SeqCst) {
+            // No batch is forming: one idle worker opens it.
+            shared.wake(&shared.not_empty, false);
+        }
+        // Otherwise the forming batch's worker drains this request at
+        // its deadline.
         let mut m = lock(&shared.metrics);
         m.requests += 1;
         m.queue_depth.record(depth as u64);
@@ -1070,12 +1136,6 @@ impl ScoringEngine {
         MetricsSnapshot { metrics }
     }
 
-    /// Rows admitted and not yet dispatched — the live backpressure
-    /// quantity.
-    pub fn queued_rows(&self) -> usize {
-        self.shared.queue.queued_rows.load(Ordering::SeqCst)
-    }
-
     /// Clone of the submit-call-entry → reply latency histogram. Unlike
     /// the flattened [`EngineStats`] percentiles this keeps the bucket
     /// shape, so a sharded front end can merge shards and read p99/p99.9
@@ -1098,8 +1158,9 @@ impl ScoringEngine {
     }
 
     /// Requests currently resident in the MPMC ring (a point-in-time
-    /// approximation; distinct from [`ScoringEngine::queued_rows`],
-    /// which counts *rows* and includes forming batches).
+    /// approximation). It counts requests, not rows, and leaves out the
+    /// requests a forming batch has already popped; requests that arrive
+    /// while a batch forms stay in the ring until it seals.
     pub fn ring_occupancy(&self) -> usize {
         self.shared.queue.ring.approx_len()
     }
@@ -1219,75 +1280,123 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Block until a micro-batch is ready: `max_batch` rows popped, the
-/// oldest popped request past the `max_wait` deadline, or shutdown
-/// draining. Returns `None` when shut down with every admitted row
-/// dispatched.
+/// Block until a micro-batch is ready, or return `None` once shut down
+/// with every admitted row dispatched. A worker opens a batch only when
+/// there is work and no sibling is forming one; otherwise it stays idle,
+/// parked until a submit, a sealing sibling or the drain signals it.
 fn next_batch(shared: &Shared) -> Option<Vec<Request>> {
-    let cfg = &shared.cfg;
-    let mut batch: Vec<Request> = Vec::new();
-    let mut rows = 0usize;
     loop {
-        if shared.queue.fill(&mut batch, &mut rows, cfg.max_batch) {
-            return Some(dispatch(shared, batch, rows));
+        if shared.queue.has_work()
+            && shared
+                .forming
+                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+        {
+            match form_batch(shared) {
+                Some(batch) => return Some(batch),
+                // The ring emptied under us: re-test before idling.
+                None => continue,
+            }
         }
-        // Queue ran dry before the row budget.
-        match batch.first() {
-            Some(first) => {
-                let age = first.enqueued_at.elapsed();
-                if shared.is_shutdown() || age >= cfg.max_wait {
-                    return Some(dispatch(shared, batch, rows));
-                }
-                // Coalescing window still open: park for the remainder
-                // (or a push wakeup), re-checking under the park mutex.
-                let guard = lock(&shared.park);
-                if shared.queue.has_work() || shared.is_shutdown() {
-                    continue;
-                }
-                shared.worker_parks.fetch_add(1, Ordering::Relaxed);
-                let (guard, _timeout) = shared
+        // Exit test: shutdown is read BEFORE queued_rows (see the
+        // `shutdown` field docs) — `queued_rows == 0` after the cutoff
+        // proves nothing is left anywhere.
+        let draining = shared.is_shutdown();
+        if draining && shared.queue.queued_rows.load(Ordering::SeqCst) == 0 {
+            return None;
+        }
+        // Park idle, re-checking under the park mutex (see `Shared::wake`
+        // for the pairing argument). Work in the ring while a sibling
+        // forms a batch is that sibling's to drain.
+        let guard = lock(&shared.park);
+        if (!draining && shared.is_shutdown())
+            || (shared.queue.has_work() && !shared.forming.load(Ordering::SeqCst))
+        {
+            continue;
+        }
+        shared.worker_parks.fetch_add(1, Ordering::Relaxed);
+        if draining {
+            // Rows are reserved but not poppable here: a producer
+            // mid-push or a sibling's forming batch. Timed park so the
+            // drain re-tests promptly either way.
+            let (guard, _timeout) = shared
+                .not_empty
+                .wait_timeout(guard, Duration::from_millis(1))
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            drop(guard);
+        } else {
+            drop(
+                shared
                     .not_empty
-                    .wait_timeout(guard, cfg.max_wait - age)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                drop(guard);
-            }
-            None => {
-                // Exit test: shutdown is read BEFORE queued_rows (see
-                // the `shutdown` field docs) — `queued_rows == 0` after
-                // the cutoff proves nothing is left anywhere.
-                if shared.is_shutdown() {
-                    if shared.queue.queued_rows.load(Ordering::SeqCst) == 0 {
-                        return None;
-                    }
-                    // Rows are reserved but not poppable yet: a producer
-                    // mid-push or a sibling's forming batch. Timed park
-                    // so the drain re-tests promptly either way.
-                    let guard = lock(&shared.park);
-                    if shared.queue.has_work() {
-                        continue;
-                    }
-                    shared.worker_parks.fetch_add(1, Ordering::Relaxed);
-                    let (guard, _timeout) = shared
-                        .not_empty
-                        .wait_timeout(guard, Duration::from_millis(1))
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    drop(guard);
-                } else {
-                    let guard = lock(&shared.park);
-                    if shared.queue.has_work() || shared.is_shutdown() {
-                        continue;
-                    }
-                    shared.worker_parks.fetch_add(1, Ordering::Relaxed);
-                    drop(
-                        shared
-                            .not_empty
-                            .wait(guard)
-                            .unwrap_or_else(std::sync::PoisonError::into_inner),
-                    );
-                }
-            }
+                    .wait(guard)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+            );
         }
     }
+}
+
+/// Form the batch this worker has registered in `Shared::forming`. Pop
+/// the oldest request and sleep to its `max_wait` deadline, unless the
+/// rows admitted but not yet dispatched reach `max_batch` or the engine
+/// drains first; requests that arrive meanwhile wait in the ring. Then
+/// seal: drain the ring up to `max_batch`, unregister, drain again, wake
+/// an idle sibling for whatever a full batch leaves behind, and
+/// dispatch. Returns `None`, unregistered, when the ring held nothing to
+/// pop.
+fn form_batch(shared: &Shared) -> Option<Vec<Request>> {
+    let cfg = &shared.cfg;
+    let queued = &shared.queue.queued_rows;
+    let opened = Instant::now();
+    let mut batch: Vec<Request> = Vec::new();
+    let mut rows = 0usize;
+    let fill = |batch: &mut Vec<Request>, rows: &mut usize| {
+        shared.queue.fill(batch, rows, cfg.max_batch, opened)
+    };
+    let mut full = fill(&mut batch, &mut rows);
+    let Some(oldest) = batch.first().map(|r| r.enqueued_at) else {
+        unregister(shared);
+        return None;
+    };
+    let ready = || shared.is_shutdown() || queued.load(Ordering::SeqCst) >= cfg.max_batch;
+    while !full && !ready() {
+        let age = oldest.elapsed();
+        if age >= cfg.max_wait {
+            break;
+        }
+        // Sleep to the deadline, re-checking under the park mutex: the
+        // submit that makes the batch ready wakes every worker.
+        let guard = lock(&shared.park);
+        if ready() {
+            break;
+        }
+        shared.worker_parks.fetch_add(1, Ordering::Relaxed);
+        let (guard, _timeout) = shared
+            .not_empty
+            .wait_timeout(guard, cfg.max_wait - age)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        drop(guard);
+    }
+    // Drain while still registered, so a sibling woken by the ready
+    // signal cannot split the batch; then unregister and drain once more
+    // for pushes that saw the registration and skipped their signal.
+    full = full || fill(&mut batch, &mut rows);
+    unregister(shared);
+    full = full || fill(&mut batch, &mut rows);
+    // A full batch can leave requests behind whose submits saw it
+    // forming: hand them to an idle sibling now rather than after this
+    // batch is scored.
+    if full && shared.queue.has_work() {
+        shared.wake(&shared.not_empty, false);
+    }
+    Some(dispatch(shared, batch, rows))
+}
+
+/// Drop the forming-batch registration, then fence, so the ring reads
+/// that follow see every push whose submit read the registration and
+/// skipped its signal (see `Shared::forming`).
+fn unregister(shared: &Shared) {
+    shared.forming.store(false, Ordering::SeqCst);
+    fence(Ordering::SeqCst);
 }
 
 /// Release a formed batch's row reservation and wake parked threads.
@@ -1297,7 +1406,11 @@ fn next_batch(shared: &Shared) -> Option<Vec<Request>> {
 fn dispatch(shared: &Shared, batch: Vec<Request>, rows: usize) -> Vec<Request> {
     debug_assert!(!batch.is_empty());
     shared.queue.queued_rows.fetch_sub(rows, Ordering::SeqCst);
-    shared.wake(&shared.not_full);
+    // Only a parked submitter waits for freed rows (see
+    // `Shared::parked_submitters`).
+    if shared.parked_submitters.load(Ordering::SeqCst) > 0 {
+        shared.wake(&shared.not_full, true);
+    }
     if shared.is_shutdown() {
         // A draining sibling may be parked on intake waiting for these
         // rows to resolve.
@@ -1403,13 +1516,13 @@ fn fan_out(
             m.enqueue_to_reply_ns
                 .record_duration(req.submitted_at.elapsed());
             if let (Some(t), Some(now)) = (req.trace.as_ref(), reply_now) {
-                let popped = t.popped_at.unwrap_or(timeline.dispatched);
+                let joined = t.joined_at.unwrap_or(timeline.dispatched);
                 let ns = |d: Duration| d.as_nanos() as u64;
                 let stages_ns = [
                     t.admission_ns,
                     t.park_ns,
-                    ns(popped - req.enqueued_at),
-                    ns(timeline.dispatched - popped),
+                    ns(joined - req.enqueued_at),
+                    ns(timeline.dispatched - joined),
                     ns(timeline.score_start - timeline.dispatched),
                     ns(timeline.score_end - timeline.score_start),
                     ns(now - timeline.score_end),
@@ -1494,7 +1607,11 @@ fn requeue_or_poison(shared: &Shared, batch: Vec<Request>) {
             }
         }
     }
-    shared.wake(&shared.not_empty);
+    // Every worker: the retries sit in the stash ahead of the ring, and an
+    // idle worker re-checks the stash under the park mutex (see
+    // `Shared::wake`) and opens a batch for them unless one is forming,
+    // whose worker drains the stash first when it seals.
+    shared.wake(&shared.not_empty, true);
     for req in poisoned {
         let attempts = req.attempts;
         req.answer(Err(ScoreError::Poisoned { attempts }));
@@ -1532,7 +1649,7 @@ mod tests {
     fn fill(wq: &WorkQueue, max_batch: usize) -> Vec<Request> {
         let mut batch = Vec::new();
         let mut rows = 0;
-        wq.fill(&mut batch, &mut rows, max_batch);
+        wq.fill(&mut batch, &mut rows, max_batch, Instant::now());
         batch
     }
 

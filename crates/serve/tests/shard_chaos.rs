@@ -360,7 +360,10 @@ fn shutdown_under_a_full_queue_cannot_deadlock_a_blocked_producer() {
     // Let the producer wedge against the full queue (replies trickle at
     // 10ms each against a 300-row backlog), then pull the plug.
     std::thread::sleep(Duration::from_millis(150));
-    assert!(engine.shard(0).queued_rows() > 0, "queue never filled");
+    assert!(
+        engine.shard(0).park_wake_counts().0 > 0,
+        "the producer never parked on the full queue"
+    );
     engine.shard(0).begin_shutdown();
     // The regression under test: the blocked producer must wake, see
     // ShuttingDown, and finish — not sleep forever on a condvar no
