@@ -8,7 +8,8 @@
 //! `le="+Inf"`, plus `_sum` and `_count`. Snapshots are sorted, so the
 //! rendered text is deterministic for a given snapshot.
 
-use super::metrics::{HistogramSnapshot, MetricEntry, MetricValue, MetricsSnapshot};
+use super::metrics::{MetricEntry, MetricValue, MetricsSnapshot};
+use crate::timing::Histogram;
 use std::fmt::Write as _;
 
 /// Escape a label value per the exposition format.
@@ -45,12 +46,13 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-fn render_histogram(out: &mut String, entry: &MetricEntry, h: &HistogramSnapshot) {
+fn render_histogram(out: &mut String, entry: &MetricEntry, h: &Histogram) {
     let name = &entry.key.name;
     let labels = &entry.key.labels;
+    let buckets = h.bucket_counts();
     let mut cumulative = 0u64;
-    let highest = h.buckets.iter().rposition(|&n| n > 0).unwrap_or(0);
-    for (b, &n) in h.buckets.iter().enumerate().take(highest + 1) {
+    let highest = buckets.iter().rposition(|&n| n > 0).unwrap_or(0);
+    for (b, &n) in buckets.iter().enumerate().take(highest + 1) {
         cumulative += n;
         let le = match b {
             0 => "0".to_string(),
@@ -61,10 +63,10 @@ fn render_histogram(out: &mut String, entry: &MetricEntry, h: &HistogramSnapshot
         let _ = writeln!(out, "{name}_bucket{lb} {cumulative}");
     }
     let lb = label_block(labels, Some(("le", "+Inf")));
-    let _ = writeln!(out, "{name}_bucket{lb} {}", h.count);
+    let _ = writeln!(out, "{name}_bucket{lb} {}", h.count());
     let lb = label_block(labels, None);
-    let _ = writeln!(out, "{name}_sum{lb} {}", h.sum);
-    let _ = writeln!(out, "{name}_count{lb} {}", h.count);
+    let _ = writeln!(out, "{name}_sum{lb} {}", h.sum());
+    let _ = writeln!(out, "{name}_count{lb} {}", h.count());
 }
 
 /// Render a snapshot in the Prometheus text exposition format.
@@ -161,14 +163,36 @@ mod tests {
     fn json_roundtrips_counter_values() {
         let reg = MetricsRegistry::new();
         reg.counter("c_total", &[("k", "v")]).add(7);
+        let h = reg.histogram("h_ns", &[]);
+        h.record(5);
+        h.record(1000);
+        let _idle = reg.histogram("idle_ns", &[]);
         let json = to_json(&reg.snapshot());
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         let metrics = v["metrics"].as_array().unwrap();
-        assert_eq!(metrics.len(), 1);
+        assert_eq!(metrics.len(), 3);
         assert_eq!(metrics[0]["name"], "c_total");
         assert_eq!(metrics[0]["labels"]["k"], "v");
         assert_eq!(metrics[0]["type"], "counter");
         assert_eq!(metrics[0]["value"], 7u64);
+        // Bucket `b` holds [2^(b−1), 2^b): 5 lands in 3, 1000 in 10.
+        let h = &metrics[1];
+        assert_eq!(h["name"], "h_ns");
+        assert_eq!(h["type"], "histogram");
+        let buckets = h["buckets"].as_array().unwrap();
+        assert_eq!(buckets.len(), 65);
+        assert_eq!(buckets[3], 1u64);
+        assert_eq!(buckets[10], 1u64);
+        assert_eq!(buckets.iter().filter(|b| **b != 0u64).count(), 2);
+        for (field, want) in [("count", 2u64), ("sum", 1005), ("min", 5), ("max", 1000)] {
+            assert_eq!(h[field], want, "{field}");
+        }
+        // An empty histogram exports min 0, not its internal sentinel.
+        let idle = &metrics[2];
+        assert_eq!(idle["name"], "idle_ns");
+        for field in ["count", "sum", "min", "max"] {
+            assert_eq!(idle[field], 0u64, "{field}");
+        }
     }
 
     #[test]

@@ -165,70 +165,7 @@ impl Metric {
         match self {
             Metric::Counter(c) => MetricValue::Counter(c.get()),
             Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-            Metric::Histogram(h) => {
-                MetricValue::Histogram(HistogramSnapshot::from_histogram(&h.read()))
-            }
-        }
-    }
-}
-
-/// Exported state of one histogram: the 65 power-of-two bucket counts
-/// plus the exact running sum and the observed min/max.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Per-bucket counts (65 entries; bucket `b` covers `[2^(b−1), 2^b)`,
-    /// bucket 0 holds exactly zero).
-    pub buckets: Vec<u64>,
-    /// Total observations (= sum of `buckets`).
-    pub count: u64,
-    /// Saturating sum of observed values.
-    pub sum: u64,
-    /// Smallest observed value (0 when empty).
-    pub min: u64,
-    /// Largest observed value (0 when empty).
-    pub max: u64,
-}
-
-impl HistogramSnapshot {
-    /// Snapshot a live histogram.
-    pub fn from_histogram(h: &Histogram) -> Self {
-        HistogramSnapshot {
-            buckets: h.bucket_counts().to_vec(),
-            count: h.count(),
-            sum: h.sum(),
-            min: h.min(),
-            max: h.max(),
-        }
-    }
-
-    /// Rebuild a live [`Histogram`] carrying the same observations.
-    pub fn to_histogram(&self) -> Histogram {
-        let mut buckets = [0u64; 65];
-        for (dst, src) in buckets.iter_mut().zip(&self.buckets) {
-            *dst = *src;
-        }
-        Histogram::from_parts(buckets, self.sum, self.min, self.max)
-    }
-
-    /// Merge another snapshot's observations into this one.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        let mut h = self.to_histogram();
-        h.merge(&other.to_histogram());
-        *self = HistogramSnapshot::from_histogram(&h);
-    }
-
-    /// Quantile of the recorded distribution (bucket-upper-bound
-    /// resolution, clamped to min/max, like [`Histogram::quantile`]).
-    pub fn quantile(&self, q: f64) -> u64 {
-        self.to_histogram().quantile(q)
-    }
-
-    /// Mean of the recorded values.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
+            Metric::Histogram(h) => MetricValue::Histogram(Box::new(h.read())),
         }
     }
 }
@@ -240,8 +177,8 @@ pub enum MetricValue {
     Counter(u64),
     /// Last-set gauge reading.
     Gauge(f64),
-    /// Histogram state.
-    Histogram(HistogramSnapshot),
+    /// Histogram state (boxed: it is 552 bytes against the others' 8).
+    Histogram(Box<Histogram>),
 }
 
 impl MetricValue {
@@ -270,9 +207,9 @@ impl MetricValue {
     }
 
     /// Histogram state, if this is a histogram.
-    pub fn as_histogram(&self) -> Option<&HistogramSnapshot> {
+    pub fn as_histogram(&self) -> Option<&Histogram> {
         match self {
-            MetricValue::Histogram(h) => Some(h),
+            MetricValue::Histogram(h) => Some(h.as_ref()),
             _ => None,
         }
     }
@@ -293,12 +230,12 @@ impl serde::Serialize for MetricValue {
             MetricValue::Histogram(h) => {
                 m.insert(
                     "buckets".into(),
-                    Value::Array(h.buckets.iter().map(|&b| Value::UInt(b)).collect()),
+                    Value::Array(h.bucket_counts().iter().map(|&b| Value::UInt(b)).collect()),
                 );
-                m.insert("count".into(), Value::UInt(h.count));
-                m.insert("sum".into(), Value::UInt(h.sum));
-                m.insert("min".into(), Value::UInt(h.min));
-                m.insert("max".into(), Value::UInt(h.max));
+                m.insert("count".into(), Value::UInt(h.count()));
+                m.insert("sum".into(), Value::UInt(h.sum()));
+                m.insert("min".into(), Value::UInt(h.min()));
+                m.insert("max".into(), Value::UInt(h.max()));
             }
         }
         Value::Object(m)
@@ -500,9 +437,7 @@ impl MetricsRegistry {
                     self.gauge_keyed(&entry.key).set(*v);
                 }
                 MetricValue::Histogram(h) => {
-                    let handle = self.histogram_keyed(&entry.key);
-                    let mut guard = handle.lock();
-                    guard.merge(&h.to_histogram());
+                    self.histogram_keyed(&entry.key).lock().merge(h);
                 }
             }
         }
@@ -579,7 +514,7 @@ mod tests {
             Some(2.5)
         );
         let h = snap.get("h_ns", &[]).and_then(MetricValue::as_histogram);
-        assert_eq!(h.map(|h| h.count), Some(1));
+        assert_eq!(h.map(Histogram::count), Some(1));
     }
 
     #[test]
@@ -624,21 +559,6 @@ mod tests {
         assert_eq!(a.get("c", &[]).and_then(MetricValue::as_counter), Some(7));
         assert_eq!(a.get("g", &[]).and_then(MetricValue::as_gauge), Some(9.0));
         let h = a.get("h", &[]).and_then(MetricValue::as_histogram).unwrap();
-        assert_eq!((h.count, h.min, h.max), (2, 8, 16));
-    }
-
-    #[test]
-    fn histogram_snapshot_roundtrips() {
-        let mut h = Histogram::new();
-        for v in [0, 1, 5, 1000, u64::MAX] {
-            h.record(v);
-        }
-        let snap = HistogramSnapshot::from_histogram(&h);
-        let back = snap.to_histogram();
-        assert_eq!(back.count(), h.count());
-        assert_eq!(back.min(), h.min());
-        assert_eq!(back.max(), h.max());
-        assert_eq!(back.sum(), h.sum());
-        assert_eq!(back.quantile(0.5), h.quantile(0.5));
+        assert_eq!((h.count(), h.min(), h.max()), (2, 8, 16));
     }
 }

@@ -62,8 +62,8 @@ pub mod trace;
 
 pub use journal::{Journal, JournalRecord, JOURNAL_VERSION};
 pub use metrics::{
-    Counter, Gauge, HistogramHandle, HistogramSnapshot, MetricEntry, MetricKey, MetricValue,
-    MetricsRegistry, MetricsSnapshot,
+    Counter, Gauge, HistogramHandle, MetricEntry, MetricKey, MetricValue, MetricsRegistry,
+    MetricsSnapshot,
 };
 pub use profile::{escape_frame, Profile, ProfileEdge, SiteProfile, StackPath};
 pub use request::{RequestTrace, TailSampler, N_STAGES, STAGE_NAMES};

@@ -166,7 +166,7 @@ impl OpCounter {
 /// the scoring engine's request path. Quantiles are resolved to the upper
 /// bound of the containing bucket, i.e. within 2× of the true value,
 /// which is the precision latency percentiles are quoted at.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     buckets: [u64; 65],
     count: u64,
@@ -295,25 +295,6 @@ impl Histogram {
     /// Sum of all recorded values (saturating).
     pub fn sum(&self) -> u64 {
         self.sum
-    }
-
-    /// Rebuild a histogram from exported parts (the inverse of reading
-    /// [`bucket_counts`](Self::bucket_counts)/[`sum`](Self::sum)/
-    /// [`min`](Self::min)/[`max`](Self::max)). The count is derived from
-    /// the buckets so the pair can never disagree; empty buckets yield an
-    /// empty histogram regardless of `min`/`max`.
-    pub fn from_parts(buckets: [u64; 65], sum: u64, min: u64, max: u64) -> Histogram {
-        let count: u64 = buckets.iter().sum();
-        if count == 0 {
-            return Histogram::default();
-        }
-        Histogram {
-            buckets,
-            count,
-            sum,
-            min,
-            max,
-        }
     }
 
     /// Merge another histogram's observations into this one.

@@ -1,27 +1,26 @@
 //! The micro-batched scoring engine.
 //!
-//! Architecture: submitters reserve row capacity with one CAS on an
-//! atomic row counter, then push requests into a bounded lock-free
-//! [`MpmcRing`]; there is no mutex on the accept path. A small park
-//! mutex with two condvars (`not_empty` wakes workers, `not_full` wakes
-//! blocked submitters) exists **solely** for parked-thread wakeup — the
-//! notifier brackets the mutex before notifying, pairing with the
-//! waiter's re-check under the same mutex, so a wakeup can never be
-//! missed while the hot path stays lock-free.
+//! Architecture: one mutex guards each engine's intake — the request
+//! queue, the count of rows admitted but not yet dispatched, the
+//! forming-batch flag, the parked-submitter count and the shutdown flag.
+//! Workers wait on `not_empty` and blocked submitters on `not_full`,
+//! both with that mutex, and every predicate a parked thread tests
+//! changes only under it, so no wakeup is lost. Admission is one
+//! critical section: check, reserve rows and push.
 //!
 //! A thread is signalled only when the signal changes what it does. At
-//! most one worker holds the forming micro-batch: it pops the oldest
-//! request, sleeps to that request's `max_wait` deadline, then drains
-//! the ring up to `max_batch` rows — whole requests only, a request is
-//! never split across micro-batches. A worker that frees up meanwhile
-//! goes idle rather than open a second batch from the same ring. A
-//! submit wakes one idle worker only when no batch is forming, and every
-//! worker only when the rows admitted but not yet dispatched reach
-//! `max_batch` (or the engine drains); otherwise it only pushes.
-//! Reserved rows are released at dispatch (not at ring pop), so
-//! backpressure and the shed watermark see coalescing batches as still
-//! queued, and a dispatch signals `not_full` only when a submitter is
-//! parked. Each batch is scored in one
+//! most one worker holds the forming micro-batch: it takes the queued
+//! requests, sleeps to the oldest one's `max_wait` deadline, then takes
+//! what arrived meanwhile, up to `max_batch` rows — whole requests only,
+//! a request is never split across micro-batches. A worker that frees
+//! up meanwhile goes idle rather than open a second batch from the same
+//! queue. A submit wakes one idle worker only when its push made the
+//! queue non-empty and no batch is forming, and every worker only when
+//! the rows admitted but not yet dispatched reach `max_batch`; otherwise
+//! it only pushes. Rows are released when a batch seals (not when a
+//! request leaves the queue), so backpressure and the shed watermark see
+//! coalescing batches as still queued, and a seal signals `not_full`
+//! only when a submitter is parked. Each batch is scored in one
 //! [`ModelBundle::score_batch_quarantined`] call and the scores are
 //! fanned back out through per-request channels.
 //!
@@ -54,13 +53,11 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crate::ring::MpmcRing;
 
 use lightmirm_core::bundle::{ModelBundle, QuarantineFallback, QuarantinePolicy};
 use lightmirm_core::failpoint;
@@ -71,10 +68,10 @@ use lightmirm_core::timing::Histogram;
 
 /// Lock with poison recovery: a panicked holder degrades to "the state
 /// is whatever the panicking thread left" rather than wedging every
-/// other thread. All critical sections here keep the queue invariants
-/// (`queued_rows` matches the queue contents) across any panic point.
+/// other thread. Nothing that can panic runs under the intake lock, so
+/// its invariants (see [`Intake`]) hold regardless.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Tuning knobs of the engine.
@@ -358,16 +355,18 @@ struct Request {
 /// timeline at fan-out.
 struct TraceCtx {
     request_id: u64,
-    /// Submit entry → push, minus park time: the admission CAS loop.
+    /// Submit entry → push, minus park time: validation and taking the
+    /// intake lock.
     admission_ns: u64,
     /// Blocked in the not-full condvar wait.
     park_ns: u64,
-    /// Stage boundary t1, the end of the `ring` stage: the later of the
-    /// push and the opening of the batch that takes the request. A
-    /// request pushed while a batch is forming waits in the ring until
-    /// the batch seals, but that wait is coalescing, so it counts as
-    /// `batch` and its `ring` stage is 0. Stamped in `fill`, and again
-    /// if the request is returned and taken by a later batch.
+    /// Stage boundary t1, the end of the `ring` stage (the wait in the
+    /// intake queue): the later of the push and the opening of the batch
+    /// that takes the request. A request pushed while a batch is forming
+    /// stays queued until the batch seals, but that wait is coalescing,
+    /// so it counts as `batch` and its `ring` stage is 0. Stamped in
+    /// `fill`, and again if the request is requeued and taken by a later
+    /// batch.
     joined_at: Option<Instant>,
 }
 
@@ -382,116 +381,161 @@ impl Request {
     }
 }
 
-/// The engine's intake: a lock-free MPMC ring fronted by a small retry
-/// stash, with row-count backpressure kept in one atomic.
+/// The engine's intake: the request queue and every predicate a parked
+/// thread waits on, behind one mutex (`Shared::intake`). Workers wait on
+/// `Shared::not_empty` and submitters on `Shared::not_full`, both with
+/// that mutex, and each predicate they test changes only under it, so no
+/// wakeup is lost: a change lands either before a waiter's check or
+/// after its wait began. Nothing that can panic runs under the lock, and
+/// no other lock is taken while it is held.
 ///
 /// Invariants (the basis of the drain and capacity proofs):
-/// - `queued_rows` counts rows **admitted but not yet dispatched**. It
-///   is reserved by CAS in `submit` *before* the push, and released at
-///   dispatch time (after a micro-batch is formed) — not at ring pop —
-///   so the shed watermark and capacity bound see coalescing rows as
-///   still queued, and `queued_rows == 0` proves no request is in the
-///   ring, the stash, a producer's hands post-reservation, or a forming
-///   batch.
-/// - The ring can never reject an admitted push: its slot count is at
-///   least `queue_capacity`, every in-ring request holds ≥ 1 reserved
-///   row, and panic-requeued requests bypass the ring via the stash.
-/// - The stash is drained ahead of the ring, and overflow push-backs go
-///   to its *front*, so FIFO order survives both panics and row-budget
-///   boundaries.
-struct WorkQueue {
-    ring: MpmcRing<Request>,
-    /// Panic-requeued requests and row-budget overflow push-backs; runs
-    /// ahead of the ring.
-    retry: Mutex<VecDeque<Request>>,
-    /// Lock-free emptiness check for `retry` so the pop fast path skips
-    /// the stash mutex entirely.
-    retry_len: AtomicUsize,
-    /// Total rows admitted and not yet dispatched (the backpressure
-    /// quantity).
-    queued_rows: AtomicUsize,
+/// - `queued_rows` counts rows **admitted but not yet dispatched**: the
+///   rows in `queue` plus those of the forming batch. Admission adds a
+///   request's rows with its push, and a sealing batch releases its rows
+///   as it takes its last requests, so the shed watermark and capacity
+///   bound see coalescing rows as still queued, and `queued_rows == 0`
+///   proves nothing is left to score.
+/// - Panic retries and row-budget push-backs go to the *front* of
+///   `queue`, so requeued requests run first and FIFO order survives
+///   both panics and row-budget boundaries.
+/// - At most one worker holds the forming batch (`forming`).
+#[derive(Default)]
+struct Intake {
+    /// Admitted requests not yet taken into a batch, oldest first.
+    queue: VecDeque<Request>,
+    /// Rows admitted and not yet dispatched (the backpressure quantity).
+    queued_rows: usize,
+    /// Whether a worker holds the forming micro-batch.
+    forming: bool,
+    /// Submitters parked on `not_full`, waiting for freed rows.
+    parked_submitters: usize,
+    /// Intake cutoff: set once by `begin_shutdown`.
+    shutdown: bool,
+    /// Times a submitter parked on `not_full`.
+    submitter_parks: u64,
+    /// Times a worker parked on `not_empty`.
+    worker_parks: u64,
+    /// Signals the wake policy sent (the drain's broadcasts aside).
+    wakeups: u64,
 }
 
-impl WorkQueue {
-    fn new(capacity_rows: usize) -> Self {
-        WorkQueue {
-            ring: MpmcRing::with_capacity(capacity_rows),
-            retry: Mutex::new(VecDeque::new()),
-            retry_len: AtomicUsize::new(0),
-            queued_rows: AtomicUsize::new(0),
+impl Intake {
+    /// Queue an admitted request and return the submit's signal to
+    /// `not_empty`: every worker when the rows admitted but not yet
+    /// dispatched reach `max_batch` (the forming batch seals now, and idle
+    /// siblings may take what it leaves); one idle worker when this push
+    /// made the queue non-empty and no batch is forming (it opens one);
+    /// otherwise none — a forming batch takes the request when it seals,
+    /// and a non-empty queue with no batch forming already had its
+    /// worker signalled.
+    fn admit(&mut self, req: Request, max_batch: usize) -> Wake {
+        let opens = self.queue.is_empty() && !self.forming;
+        self.queued_rows += req.env_ids.len();
+        self.queue.push_back(req);
+        self.signal(if self.queued_rows >= max_batch {
+            Wake::All
+        } else if opens {
+            Wake::One
+        } else {
+            Wake::None
+        })
+    }
+
+    /// Put panic retries back at the front of the queue, in their batch
+    /// order, re-admitting their rows.
+    fn requeue(&mut self, retries: Vec<Request>) {
+        for req in retries.into_iter().rev() {
+            self.queued_rows += req.env_ids.len();
+            self.queue.push_front(req);
         }
     }
 
-    /// Enqueue an admitted request. Cannot fail: see the struct-level
-    /// capacity invariant. (The stash fallback is a belt-and-suspenders
-    /// path so an accepted request is never dropped even if the
-    /// invariant were broken.)
-    fn push(&self, req: Request) {
-        if let Err(req) = self.ring.push(req) {
-            debug_assert!(false, "ring full despite row reservation");
-            let mut stash = lock(&self.retry);
-            stash.push_back(req);
-            self.retry_len.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Dequeue the next request: stash first, then ring.
-    fn pop(&self) -> Option<Request> {
-        if self.retry_len.load(Ordering::SeqCst) > 0 {
-            let mut stash = lock(&self.retry);
-            if let Some(req) = stash.pop_front() {
-                self.retry_len.fetch_sub(1, Ordering::SeqCst);
-                return Some(req);
-            }
-        }
-        self.ring.pop()
-    }
-
-    /// Return a popped-but-undispatched request to the queue head (its
-    /// rows were never released, so only the stash needs updating).
-    fn unpop(&self, req: Request) {
-        let mut stash = lock(&self.retry);
-        stash.push_front(req);
-        self.retry_len.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Whether a pop would find anything right now.
-    fn has_work(&self) -> bool {
-        self.retry_len.load(Ordering::SeqCst) > 0 || !self.ring.is_empty()
-    }
-
-    /// Pop whole requests into `batch`, opened at `opened`, until it
-    /// holds `max_batch` rows. Never splits a request; an oversized
-    /// request starting a batch dispatches alone; a request that would
-    /// overflow a non-empty batch goes back to the queue head untouched.
+    /// Take whole requests from the queue front into `batch`, opened at
+    /// `opened`, until it holds `max_batch` rows. Never splits a request;
+    /// an oversized request starting a batch dispatches alone; a request
+    /// that would overflow a non-empty batch stays at the queue front.
     /// Returns `true` when the row budget is met (caller dispatches
     /// immediately), `false` when the queue ran dry first.
     fn fill(
-        &self,
+        &mut self,
         batch: &mut Vec<Request>,
         rows: &mut usize,
         max_batch: usize,
         opened: Instant,
     ) -> bool {
         while *rows < max_batch {
-            let Some(mut req) = self.pop() else {
+            let Some(mut req) = self.queue.pop_front() else {
                 return false;
             };
-            // Stamp stage boundary t1 (see `TraceCtx::joined_at`).
-            // Always overwritten: after a budget push-back or panic
-            // requeue the batch that delivers is the one that counts.
-            if let Some(t) = req.trace.as_mut() {
-                t.joined_at = Some(opened.max(req.enqueued_at));
-            }
             let next = req.env_ids.len();
             if !batch.is_empty() && *rows + next > max_batch {
-                self.unpop(req);
+                self.queue.push_front(req);
                 return true;
+            }
+            // Stamp stage boundary t1 (see `TraceCtx::joined_at`). A
+            // requeued request is stamped again by the batch that
+            // delivers it.
+            if let Some(t) = req.trace.as_mut() {
+                t.joined_at = Some(opened.max(req.enqueued_at));
             }
             *rows += next;
             batch.push(req);
         }
         true
+    }
+
+    /// Close the forming batch, release its `rows`, and return the
+    /// signals for `not_empty` and `not_full`. A full batch can leave
+    /// requests behind whose submits saw it forming: one idle sibling
+    /// takes them now rather than after this batch is scored. A draining
+    /// engine wakes every worker, whose exit test reads the released
+    /// rows. Only a parked submitter waits for freed rows.
+    fn seal(&mut self, rows: usize) -> (Wake, Wake) {
+        self.forming = false;
+        self.queued_rows -= rows;
+        let siblings = if self.shutdown {
+            Wake::All
+        } else {
+            self.signal(if self.queue.is_empty() {
+                Wake::None
+            } else {
+                Wake::One
+            })
+        };
+        let submitters = self.signal(if self.parked_submitters > 0 {
+            Wake::All
+        } else {
+            Wake::None
+        });
+        (siblings, submitters)
+    }
+
+    /// Count a signal decided under the lock; the caller sends it once
+    /// the lock is released.
+    fn signal(&mut self, wake: Wake) -> Wake {
+        if wake != Wake::None {
+            self.wakeups += 1;
+        }
+        wake
+    }
+}
+
+/// Which of a condvar's waiters a state change wakes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Wake {
+    None,
+    One,
+    All,
+}
+
+impl Wake {
+    fn send(self, cv: &Condvar) {
+        match self {
+            Wake::None => {}
+            Wake::One => cv.notify_one(),
+            Wake::All => cv.notify_all(),
+        }
     }
 }
 
@@ -641,40 +685,13 @@ struct Shared {
     /// enforces it), so submit validation needs no bundle lock.
     n_features: usize,
     cfg: EngineConfig,
-    queue: WorkQueue,
-    /// Intake cutoff. SeqCst everywhere it meets `queued_rows`: the
-    /// submit path re-checks it *after* winning a row reservation, and a
-    /// draining worker reads it *before* reading `queued_rows`, so in
-    /// the SeqCst total order either the submitter sees the cutoff and
-    /// backs its reservation out, or every draining worker sees the
-    /// reserved rows and keeps serving until they are dispatched.
-    shutdown: AtomicBool,
-    /// Parking anchor for both condvars. Never guards data: a notifier
-    /// brackets it (lock, drop) before notifying, pairing with the
-    /// waiter's re-check under the same mutex, which closes the
-    /// check-then-park window without putting a mutex on the hot path.
-    park: Mutex<()>,
+    /// The queue and the state parked threads wait on (see [`Intake`]).
+    intake: Mutex<Intake>,
+    /// Workers wait here with the intake lock: idle ones for work, the
+    /// forming batch's worker for its deadline or a full batch.
     not_empty: Condvar,
+    /// Submitters wait here with the intake lock for freed rows.
     not_full: Condvar,
-    /// Whether a worker holds the forming micro-batch; at most one does.
-    /// The holder registers (`false` → `true`) before it pops the
-    /// batch's first request and before any re-check under the park
-    /// mutex, and unregisters when it seals the batch.
-    ///
-    /// No lost wakeup: a submit pushes, fences (SeqCst), then reads this
-    /// flag, and skips its signal only when it reads `true`. A holder
-    /// unregisters, fences, then drains the ring once more. One of the
-    /// two fences comes first in the SeqCst order. If the submit's does,
-    /// the holder's final drain sees the push. If the holder's does, the
-    /// submit reads `false` and signals, or reads a later holder's
-    /// registration, and that holder owes the same final drain.
-    forming: AtomicBool,
-    /// Submitters parked, or about to park, on `not_full`. A submitter
-    /// counts itself in under the park mutex before it re-checks the row
-    /// counter; a dispatch releases rows before it reads this count (all
-    /// SeqCst). So either the re-check sees the freed rows, or the
-    /// dispatch sees the count and brackets the mutex to signal.
-    parked_submitters: AtomicUsize,
     /// Precomputed (possibly shard-scoped) failpoint site names.
     sites: FailSites,
     metrics: Mutex<Metrics>,
@@ -695,12 +712,6 @@ struct Shared {
     tail: Mutex<TailSampler>,
     /// Fallback request-id counter for traced submits that bring no id.
     trace_seq: AtomicU64,
-    /// Times a submitter parked on the not-full condvar.
-    submitter_parks: AtomicU64,
-    /// Times a worker parked on the not-empty condvar.
-    worker_parks: AtomicU64,
-    /// [`Shared::wake`] bracket-and-notify cycles.
-    wakeups: AtomicU64,
 }
 
 impl Shared {
@@ -711,28 +722,11 @@ impl Shared {
     fn current_monitor(&self) -> Option<Arc<crate::monitor::DriftMonitor>> {
         lock(&self.monitor).clone()
     }
+}
 
-    fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Bracket the park mutex, then wake one waiter on `cv`, or every
-    /// waiter with `all`. Pairs with a waiter that re-checks its
-    /// condition under the same mutex before waiting: the bracket cannot
-    /// complete between the waiter's re-check and its wait, so the state
-    /// change is either seen by the re-check or the notify lands after
-    /// the wait began. A single notify may reach any waiter; each one
-    /// re-checks, so whichever wakes either takes the work or sees that
-    /// the forming batch's worker owns it.
-    fn wake(&self, cv: &Condvar, all: bool) {
-        self.wakeups.fetch_add(1, Ordering::Relaxed);
-        drop(lock(&self.park));
-        if all {
-            cv.notify_all();
-        } else {
-            cv.notify_one();
-        }
-    }
+/// Wait on `cv` with the intake lock, recovering it from poisoning.
+fn wait<'a>(cv: &Condvar, intake: MutexGuard<'a, Intake>) -> MutexGuard<'a, Intake> {
+    cv.wait(intake).unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The sentinel for a bundle, when both config and baseline allow one.
@@ -777,14 +771,10 @@ impl ScoringEngine {
         let shared = Arc::new(Shared {
             bundle: Mutex::new(Arc::new(bundle)),
             n_features,
-            queue: WorkQueue::new(cfg.queue_capacity),
             cfg: cfg.clone(),
-            shutdown: AtomicBool::new(false),
-            park: Mutex::new(()),
+            intake: Mutex::new(Intake::default()),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            forming: AtomicBool::new(false),
-            parked_submitters: AtomicUsize::new(0),
             sites,
             metrics: Mutex::new(Metrics::default()),
             respawned: Mutex::new(Vec::new()),
@@ -792,9 +782,6 @@ impl ScoringEngine {
             reload_gate: Mutex::new(()),
             tail: Mutex::new(TailSampler::new(cfg.tail_samples)),
             trace_seq: AtomicU64::new(0),
-            submitter_parks: AtomicU64::new(0),
-            worker_parks: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
         });
         let workers = (0..cfg.workers)
             .map(|i| spawn_worker(Arc::clone(&shared), i))
@@ -859,68 +846,33 @@ impl ScoringEngine {
         // Low-priority traffic sheds at the watermark, before the hard
         // bound, so critical traffic keeps headroom under pressure.
         let shed_rows = ((capacity as f64) * shared.cfg.shed_watermark).ceil() as usize;
-        let queued = &shared.queue.queued_rows;
         // Submit-side stage accounting: park time is accumulated across
         // not-full waits; everything else before the push is admission.
         let trace_on = shared.cfg.trace_requests;
         let mut park_ns: u64 = 0;
-        // Admission is one CAS on the row counter: the loaded value both
-        // decides (shed/park/fits) and guards the reservation, so a
-        // concurrent admit that would invalidate the decision makes the
-        // CAS fail and the decision is retaken.
+        let mut intake = lock(&shared.intake);
         loop {
-            if shared.is_shutdown() {
+            if intake.shutdown {
                 return Err(SubmitError::ShuttingDown);
             }
-            let cur = queued.load(Ordering::SeqCst);
+            let cur = intake.queued_rows;
             if opts.priority == Priority::Low && cur + rows > shed_rows {
+                drop(intake);
                 lock(&shared.metrics).shed_low_priority += 1;
                 return Err(SubmitError::Shed);
             }
             if cur + rows <= capacity {
-                if queued
-                    .compare_exchange(cur, cur + rows, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    break;
-                }
-                continue;
+                break;
             }
-            // Park until a dispatch frees rows. Count in, then re-check
-            // under the park mutex (see `Shared::parked_submitters` and
-            // `Shared::wake` for the pairing argument).
-            let guard = lock(&shared.park);
-            shared.parked_submitters.fetch_add(1, Ordering::SeqCst);
-            if shared.is_shutdown() || queued.load(Ordering::SeqCst) + rows <= capacity {
-                shared.parked_submitters.fetch_sub(1, Ordering::SeqCst);
-                continue;
-            }
-            shared.submitter_parks.fetch_add(1, Ordering::Relaxed);
-            let park_start = if trace_on { Some(Instant::now()) } else { None };
-            drop(
-                shared
-                    .not_full
-                    .wait(guard)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-            );
-            shared.parked_submitters.fetch_sub(1, Ordering::SeqCst);
+            // Park until a dispatch frees rows or the engine drains.
+            intake.submitter_parks += 1;
+            intake.parked_submitters += 1;
+            let park_start = trace_on.then(Instant::now);
+            intake = wait(&shared.not_full, intake);
+            intake.parked_submitters -= 1;
             if let Some(t) = park_start {
                 park_ns += t.elapsed().as_nanos() as u64;
             }
-        }
-        // Shutdown re-check *after* the reservation (see the `shutdown`
-        // field docs): if the cutoff raced in, back the rows out and
-        // reject — workers may already have drained past us. If it did
-        // not, every draining worker is guaranteed to see our rows and
-        // wait for the push below.
-        if shared.is_shutdown() {
-            queued.fetch_sub(rows, Ordering::SeqCst);
-            // Release, then read the parked count, as `dispatch` does
-            // (see `Shared::parked_submitters`).
-            if shared.parked_submitters.load(Ordering::SeqCst) > 0 {
-                shared.wake(&shared.not_full, true);
-            }
-            return Err(SubmitError::ShuttingDown);
         }
         let now = Instant::now();
         // Stage boundary t0. Admission is defined as everything between
@@ -938,7 +890,7 @@ impl ScoringEngine {
             park_ns,
             joined_at: None,
         });
-        shared.queue.push(Request {
+        let request = Request {
             features,
             env_ids,
             submitted_at,
@@ -947,21 +899,11 @@ impl ScoringEngine {
             attempts: 0,
             responder: tx,
             trace,
-        });
-        // Push, fence, then read: the order the no-lost-wakeup argument
-        // on `Shared::forming` needs from a submit that skips its signal.
-        fence(Ordering::SeqCst);
-        let depth = queued.load(Ordering::SeqCst);
-        if depth >= shared.cfg.max_batch {
-            // A full batch is waiting: the forming batch's worker seals
-            // it now, and idle siblings may take what it leaves.
-            shared.wake(&shared.not_empty, true);
-        } else if !shared.forming.load(Ordering::SeqCst) {
-            // No batch is forming: one idle worker opens it.
-            shared.wake(&shared.not_empty, false);
-        }
-        // Otherwise the forming batch's worker drains this request at
-        // its deadline.
+        };
+        let wake = intake.admit(request, shared.cfg.max_batch);
+        let depth = intake.queued_rows;
+        drop(intake);
+        wake.send(&shared.not_empty);
         let mut m = lock(&shared.metrics);
         m.requests += 1;
         m.queue_depth.record(depth as u64);
@@ -1084,14 +1026,14 @@ impl ScoringEngine {
     /// feature: it reads the engine's own always-on telemetry, not the
     /// global registry.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        use lightmirm_core::obs::{HistogramSnapshot, MetricEntry, MetricKey, MetricValue};
+        use lightmirm_core::obs::{MetricEntry, MetricKey, MetricValue};
         let counter = |name: &str, v: u64| MetricEntry {
             key: MetricKey::new(name, &[]),
             value: MetricValue::Counter(v),
         };
         let histogram = |name: &str, h: &Histogram| MetricEntry {
             key: MetricKey::new(name, &[]),
-            value: MetricValue::Histogram(HistogramSnapshot::from_histogram(h)),
+            value: MetricValue::Histogram(Box::new(h.clone())),
         };
         let gauge = |name: &str, v: f64| MetricEntry {
             key: MetricKey::new(name, &[]),
@@ -1121,12 +1063,12 @@ impl ScoringEngine {
         for (name, h) in STAGE_NAMES.iter().zip(&m.stage_ns) {
             metrics.push(MetricEntry {
                 key: MetricKey::new("serve_request_stage_ns", &[("stage", name)]),
-                value: MetricValue::Histogram(HistogramSnapshot::from_histogram(h)),
+                value: MetricValue::Histogram(Box::new(h.clone())),
             });
         }
         drop(m);
-        // Liveness gauges: ring occupancy plus the park/wake traffic of
-        // the condvar pairing (see the module docs on wakeup safety).
+        // Liveness gauges: requests queued but not yet in a batch, plus
+        // the intake's park/wake traffic.
         let (sub_parks, worker_parks, wakeups) = self.park_wake_counts();
         metrics.push(gauge("serve_ring_occupancy", self.ring_occupancy() as f64));
         metrics.push(gauge("serve_submitter_parks", sub_parks as f64));
@@ -1157,24 +1099,21 @@ impl ScoringEngine {
         lock(&self.shared.metrics).stage_ns.clone()
     }
 
-    /// Requests currently resident in the MPMC ring (a point-in-time
-    /// approximation). It counts requests, not rows, and leaves out the
-    /// requests a forming batch has already popped; requests that arrive
-    /// while a batch forms stay in the ring until it seals.
+    /// Queued requests not yet taken into a batch. It counts requests,
+    /// not rows, and leaves out the requests a forming batch has already
+    /// taken; requests that arrive while a batch forms stay queued until
+    /// it seals.
     pub fn ring_occupancy(&self) -> usize {
-        self.shared.queue.ring.approx_len()
+        lock(&self.shared.intake).queue.len()
     }
 
     /// Lifetime park/wake counts: `(submitter_parks, worker_parks,
     /// wakeups)` — how often a submitter blocked on the not-full
-    /// condvar, a worker on the not-empty condvar, and how many
-    /// bracket-and-notify wake cycles ran.
+    /// condvar, a worker on the not-empty condvar, and how many signals
+    /// the wake policy sent (the drain's broadcasts aside).
     pub fn park_wake_counts(&self) -> (u64, u64, u64) {
-        (
-            self.shared.submitter_parks.load(Ordering::Relaxed),
-            self.shared.worker_parks.load(Ordering::Relaxed),
-            self.shared.wakeups.load(Ordering::Relaxed),
-        )
+        let intake = lock(&self.shared.intake);
+        (intake.submitter_parks, intake.worker_parks, intake.wakeups)
     }
 
     /// Stop intake without joining the workers: subsequent submissions
@@ -1183,8 +1122,7 @@ impl ScoringEngine {
     /// reference — the drain-from-shared-context half of
     /// [`ScoringEngine::shutdown`].
     pub fn begin_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        drop(lock(&self.shared.park));
+        lock(&self.shared.intake).shutdown = true;
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
     }
@@ -1282,140 +1220,60 @@ fn worker_loop(shared: &Shared) {
 
 /// Block until a micro-batch is ready, or return `None` once shut down
 /// with every admitted row dispatched. A worker opens a batch only when
-/// there is work and no sibling is forming one; otherwise it stays idle,
-/// parked until a submit, a sealing sibling or the drain signals it.
+/// the queue holds work and no sibling is forming one; otherwise it
+/// stays idle, parked until a submit, a sealing sibling or the drain
+/// signals it.
 fn next_batch(shared: &Shared) -> Option<Vec<Request>> {
+    let mut intake = lock(&shared.intake);
     loop {
-        if shared.queue.has_work()
-            && shared
-                .forming
-                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-        {
-            match form_batch(shared) {
-                Some(batch) => return Some(batch),
-                // The ring emptied under us: re-test before idling.
-                None => continue,
-            }
+        if !intake.forming && !intake.queue.is_empty() {
+            return Some(form_batch(shared, intake));
         }
-        // Exit test: shutdown is read BEFORE queued_rows (see the
-        // `shutdown` field docs) — `queued_rows == 0` after the cutoff
-        // proves nothing is left anywhere.
-        let draining = shared.is_shutdown();
-        if draining && shared.queue.queued_rows.load(Ordering::SeqCst) == 0 {
+        // `queued_rows == 0` after the cutoff proves nothing is left.
+        if intake.shutdown && intake.queued_rows == 0 {
             return None;
         }
-        // Park idle, re-checking under the park mutex (see `Shared::wake`
-        // for the pairing argument). Work in the ring while a sibling
-        // forms a batch is that sibling's to drain.
-        let guard = lock(&shared.park);
-        if (!draining && shared.is_shutdown())
-            || (shared.queue.has_work() && !shared.forming.load(Ordering::SeqCst))
-        {
-            continue;
-        }
-        shared.worker_parks.fetch_add(1, Ordering::Relaxed);
-        if draining {
-            // Rows are reserved but not poppable here: a producer
-            // mid-push or a sibling's forming batch. Timed park so the
-            // drain re-tests promptly either way.
-            let (guard, _timeout) = shared
-                .not_empty
-                .wait_timeout(guard, Duration::from_millis(1))
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            drop(guard);
-        } else {
-            drop(
-                shared
-                    .not_empty
-                    .wait(guard)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-            );
-        }
+        // Work queued while a sibling forms a batch is that sibling's.
+        intake.worker_parks += 1;
+        intake = wait(&shared.not_empty, intake);
     }
 }
 
-/// Form the batch this worker has registered in `Shared::forming`. Pop
-/// the oldest request and sleep to its `max_wait` deadline, unless the
-/// rows admitted but not yet dispatched reach `max_batch` or the engine
-/// drains first; requests that arrive meanwhile wait in the ring. Then
-/// seal: drain the ring up to `max_batch`, unregister, drain again, wake
-/// an idle sibling for whatever a full batch leaves behind, and
-/// dispatch. Returns `None`, unregistered, when the ring held nothing to
-/// pop.
-fn form_batch(shared: &Shared) -> Option<Vec<Request>> {
+/// Open a batch on the locked intake, whose queue holds work and has no
+/// batch forming. Take the queued requests, up to `max_batch` rows, then
+/// sleep to the oldest one's `max_wait` deadline unless the rows admitted
+/// but not yet dispatched reach `max_batch` or the engine drains first;
+/// requests that arrive meanwhile wait in the queue. Then seal in one
+/// critical section: take what fits, close the batch, release its rows,
+/// and decide who to wake.
+fn form_batch(shared: &Shared, mut intake: MutexGuard<'_, Intake>) -> Vec<Request> {
     let cfg = &shared.cfg;
-    let queued = &shared.queue.queued_rows;
+    intake.forming = true;
     let opened = Instant::now();
     let mut batch: Vec<Request> = Vec::new();
     let mut rows = 0usize;
-    let fill = |batch: &mut Vec<Request>, rows: &mut usize| {
-        shared.queue.fill(batch, rows, cfg.max_batch, opened)
-    };
-    let mut full = fill(&mut batch, &mut rows);
-    let Some(oldest) = batch.first().map(|r| r.enqueued_at) else {
-        unregister(shared);
-        return None;
-    };
-    let ready = || shared.is_shutdown() || queued.load(Ordering::SeqCst) >= cfg.max_batch;
-    while !full && !ready() {
+    let full = intake.fill(&mut batch, &mut rows, cfg.max_batch, opened);
+    let oldest = batch.first().map_or(opened, |r| r.enqueued_at);
+    // The submit that makes the batch ready wakes every worker.
+    while !full && !intake.shutdown && intake.queued_rows < cfg.max_batch {
         let age = oldest.elapsed();
         if age >= cfg.max_wait {
             break;
         }
-        // Sleep to the deadline, re-checking under the park mutex: the
-        // submit that makes the batch ready wakes every worker.
-        let guard = lock(&shared.park);
-        if ready() {
-            break;
-        }
-        shared.worker_parks.fetch_add(1, Ordering::Relaxed);
-        let (guard, _timeout) = shared
+        intake.worker_parks += 1;
+        intake = shared
             .not_empty
-            .wait_timeout(guard, cfg.max_wait - age)
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        drop(guard);
+            .wait_timeout(intake, cfg.max_wait - age)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0;
     }
-    // Drain while still registered, so a sibling woken by the ready
-    // signal cannot split the batch; then unregister and drain once more
-    // for pushes that saw the registration and skipped their signal.
-    full = full || fill(&mut batch, &mut rows);
-    unregister(shared);
-    full = full || fill(&mut batch, &mut rows);
-    // A full batch can leave requests behind whose submits saw it
-    // forming: hand them to an idle sibling now rather than after this
-    // batch is scored.
-    if full && shared.queue.has_work() {
-        shared.wake(&shared.not_empty, false);
+    if !full {
+        intake.fill(&mut batch, &mut rows, cfg.max_batch, opened);
     }
-    Some(dispatch(shared, batch, rows))
-}
-
-/// Drop the forming-batch registration, then fence, so the ring reads
-/// that follow see every push whose submit read the registration and
-/// skipped its signal (see `Shared::forming`).
-fn unregister(shared: &Shared) {
-    shared.forming.store(false, Ordering::SeqCst);
-    fence(Ordering::SeqCst);
-}
-
-/// Release a formed batch's row reservation and wake parked threads.
-/// This is the moment `queued_rows` drops — ring pops alone leave the
-/// backpressure quantity untouched so shedding and capacity decisions
-/// count coalescing rows.
-fn dispatch(shared: &Shared, batch: Vec<Request>, rows: usize) -> Vec<Request> {
-    debug_assert!(!batch.is_empty());
-    shared.queue.queued_rows.fetch_sub(rows, Ordering::SeqCst);
-    // Only a parked submitter waits for freed rows (see
-    // `Shared::parked_submitters`).
-    if shared.parked_submitters.load(Ordering::SeqCst) > 0 {
-        shared.wake(&shared.not_full, true);
-    }
-    if shared.is_shutdown() {
-        // A draining sibling may be parked on intake waiting for these
-        // rows to resolve.
-        shared.not_empty.notify_all();
-    }
+    let (siblings, submitters) = intake.seal(rows);
+    drop(intake);
+    siblings.send(&shared.not_empty);
+    submitters.send(&shared.not_full);
     batch
 }
 
@@ -1584,34 +1442,30 @@ fn fan_out(
 /// exhausted. The requeue may transiently overshoot `queue_capacity` by
 /// one batch; backpressure reasserts as the queue drains.
 fn requeue_or_poison(shared: &Shared, batch: Vec<Request>) {
-    let mut poisoned = Vec::new();
+    let (mut retries, mut poisoned) = (Vec::new(), Vec::new());
+    for mut req in batch {
+        req.attempts += 1;
+        if req.attempts >= shared.cfg.max_attempts {
+            poisoned.push(req);
+        } else {
+            retries.push(req);
+        }
+    }
     {
         let mut m = lock(&shared.metrics);
         m.worker_panics += 1;
-        // `rev()` so stash push_front preserves the batch's original
-        // order. Rows are re-reserved BEFORE each request becomes
-        // poppable, so a draining worker that reads `queued_rows == 0`
-        // cannot race past a retry.
-        for mut req in batch.into_iter().rev() {
-            req.attempts += 1;
-            if req.attempts >= shared.cfg.max_attempts {
-                m.poisoned_requests += 1;
-                poisoned.push(req);
-            } else {
-                m.retried_requests += 1;
-                shared
-                    .queue
-                    .queued_rows
-                    .fetch_add(req.env_ids.len(), Ordering::SeqCst);
-                shared.queue.unpop(req);
-            }
-        }
+        m.retried_requests += retries.len() as u64;
+        m.poisoned_requests += poisoned.len() as u64;
     }
-    // Every worker: the retries sit in the stash ahead of the ring, and an
-    // idle worker re-checks the stash under the park mutex (see
-    // `Shared::wake`) and opens a batch for them unless one is forming,
-    // whose worker drains the stash first when it seals.
-    shared.wake(&shared.not_empty, true);
+    if !retries.is_empty() {
+        // Every worker: an idle one opens a batch for the retries unless
+        // one is forming, whose worker takes them first when it seals.
+        let mut intake = lock(&shared.intake);
+        intake.requeue(retries);
+        let wake = intake.signal(Wake::All);
+        drop(intake);
+        wake.send(&shared.not_empty);
+    }
     for req in poisoned {
         let attempts = req.attempts;
         req.answer(Err(ScoreError::Poisoned { attempts }));
@@ -1636,61 +1490,77 @@ mod tests {
         }
     }
 
-    fn queue_of(reqs: Vec<Request>) -> WorkQueue {
-        let rows: usize = reqs.iter().map(|r| r.env_ids.len()).sum();
-        let wq = WorkQueue::new(1024);
+    fn queue_of(reqs: Vec<Request>) -> Intake {
+        let mut intake = Intake::default();
         for r in reqs {
-            wq.push(r);
+            intake.admit(r, usize::MAX);
         }
-        wq.queued_rows.store(rows, Ordering::SeqCst);
-        wq
+        intake
     }
 
-    fn fill(wq: &WorkQueue, max_batch: usize) -> Vec<Request> {
+    fn fill(intake: &mut Intake, max_batch: usize) -> Vec<Request> {
         let mut batch = Vec::new();
         let mut rows = 0;
-        wq.fill(&mut batch, &mut rows, max_batch, Instant::now());
+        intake.fill(&mut batch, &mut rows, max_batch, Instant::now());
         batch
+    }
+
+    fn sizes(batch: &[Request]) -> Vec<usize> {
+        batch.iter().map(|r| r.env_ids.len()).collect()
     }
 
     #[test]
     fn take_batch_respects_row_budget_but_never_splits_requests() {
-        let wq = queue_of(vec![req(3), req(3), req(3)]);
-        let batch = fill(&wq, 6);
+        let mut intake = queue_of(vec![req(3), req(3), req(3)]);
+        let batch = fill(&mut intake, 6);
         assert_eq!(batch.len(), 2); // 3 + 3 = 6 rows exactly
-        let batch = fill(&wq, 6);
+        let batch = fill(&mut intake, 6);
         assert_eq!(batch.len(), 1);
-        assert!(!wq.has_work());
+        assert!(intake.queue.is_empty());
     }
 
     #[test]
     fn take_batch_dispatches_oversized_requests_alone() {
-        let wq = queue_of(vec![req(100), req(1)]);
-        let batch = fill(&wq, 8);
+        let mut intake = queue_of(vec![req(100), req(1)]);
+        let batch = fill(&mut intake, 8);
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].env_ids.len(), 100);
-        assert!(wq.has_work(), "the 1-row request stays queued");
+        assert_eq!(intake.queue.len(), 1, "the 1-row request stays queued");
     }
 
     #[test]
     fn take_batch_stops_before_overflowing() {
-        let wq = queue_of(vec![req(5), req(4)]);
-        let batch = fill(&wq, 8);
+        let mut intake = queue_of(vec![req(5), req(4)]);
+        let batch = fill(&mut intake, 8);
         assert_eq!(batch.len(), 1); // 5 + 4 would exceed 8
-                                    // The overflowing request went back to the queue head untouched
+                                    // The overflowing request stayed at the queue head untouched
                                     // and leads the next batch (FIFO across the budget boundary).
-        let batch = fill(&wq, 8);
+        let batch = fill(&mut intake, 8);
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].env_ids.len(), 4);
     }
 
     #[test]
-    fn retry_stash_runs_ahead_of_the_ring() {
-        let wq = queue_of(vec![req(1), req(2)]);
-        wq.unpop(req(7)); // a panic-requeued request
-        let batch = fill(&wq, 100);
-        let sizes: Vec<usize> = batch.iter().map(|r| r.env_ids.len()).collect();
-        assert_eq!(sizes, vec![7, 1, 2], "stash first, then ring order");
+    fn requeued_requests_run_first() {
+        let mut intake = queue_of(vec![req(1), req(2)]);
+        intake.requeue(vec![req(7), req(3)]); // a panicked batch
+        assert_eq!(intake.queued_rows, 13, "retries re-admit their rows");
+        let batch = fill(&mut intake, 100);
+        assert_eq!(sizes(&batch), [7, 3, 1, 2], "retries first, in batch order");
+    }
+
+    #[test]
+    fn interleaved_priority_classes_from_one_submitter_leave_in_submit_order() {
+        // Priority decides shedding only: the intake is one FIFO, so a
+        // submitter's High, Normal and Low requests (tagged here by row
+        // count) leave in the order it submitted them, across batches.
+        let classes = [3, 1, 2, 1, 1, 3, 2, 3, 1, 2, 2, 3];
+        let mut intake = queue_of(classes.iter().map(|&c| req(c)).collect());
+        let mut left = Vec::new();
+        while !intake.queue.is_empty() {
+            left.extend(sizes(&fill(&mut intake, 4)));
+        }
+        assert_eq!(left, classes);
     }
 
     #[test]

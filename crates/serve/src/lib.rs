@@ -7,7 +7,9 @@
 //! waiting or the oldest request has aged past `max_wait`, are scored by a
 //! worker pool riding the batched kernel path
 //! ([`ModelBundle::score_batch`] → `core::kernels::predict_rows_into`),
-//! and the scores fan back out to each caller.
+//! and the scores fan back out to each caller. Each engine's queue is one
+//! mutex-guarded intake, and the scoring workers and blocked submitters
+//! wait on condvars of that same mutex; the crate has no `unsafe` code.
 //!
 //! Guarantees:
 //!
@@ -87,11 +89,12 @@
 //!   tracing on or off, and the disabled path costs one `Option` check
 //!   per request.
 
+#![forbid(unsafe_code)]
+
 pub mod adapt;
 mod engine;
 pub mod loadgen;
 pub mod monitor;
-pub mod ring;
 pub mod shard;
 
 pub use adapt::{

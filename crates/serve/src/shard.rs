@@ -1,7 +1,7 @@
 //! Sharded serving front end: N independent [`ScoringEngine`]s behind a
 //! stable-hash [`route`].
 //!
-//! Each shard is a full engine — its own lock-free intake ring, worker
+//! Each shard is a full engine — its own intake queue and lock, worker
 //! pool, drift monitor, and hot-reload gate — so shards share no mutable
 //! state and a flood (or a chaos-killed worker pool) on one shard cannot
 //! stall its siblings. Routing is by an opaque `u16` key (the province

@@ -366,3 +366,63 @@ fn shutdown_mid_fault_storm_answers_everything() {
     assert_eq!(scored + poisoned, 60, "every accepted request answered");
     assert_eq!(stats.rows_scored as usize, scored);
 }
+
+/// The submit rule: a push wakes an idle worker only when it makes the
+/// queue non-empty while no batch is forming. Requests queued behind a
+/// worker that is still scoring signal it once, not once per submit, and
+/// still score bit-identically.
+#[test]
+fn submits_queued_behind_a_busy_worker_signal_it_once() {
+    let _g = CHAOS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    hush_worker_panics();
+    let w = world();
+    failpoint::configure(606);
+    // Hold the only worker in its first `score_batch` long enough for
+    // three more submits to land behind it.
+    failpoint::set(
+        "serve::score_batch",
+        FailMode::FirstK {
+            k: 1,
+            fault: Fault::Delay(500),
+        },
+    );
+    let engine = engine(EngineConfig {
+        max_batch: 8,
+        max_wait: Duration::ZERO,
+        workers: 1,
+        ..EngineConfig::default()
+    });
+    let submit = |k: usize| {
+        engine
+            .submit(
+                w.stream.row(k).to_vec(),
+                vec![w.stream.province[k]],
+                SubmitOptions::default(),
+            )
+            .expect("accepted")
+    };
+    let mut pending = vec![submit(0)];
+    let by = std::time::Instant::now() + Duration::from_secs(5);
+    while failpoint::fired_log().is_empty() {
+        assert!(
+            std::time::Instant::now() < by,
+            "the worker never reached score_batch"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (_, _, before) = engine.park_wake_counts();
+    pending.extend((1..4).map(submit));
+    let (_, _, after) = engine.park_wake_counts();
+    assert_eq!(
+        after - before,
+        1,
+        "only the submit that made the queue non-empty signals"
+    );
+    for (k, p) in pending.into_iter().enumerate() {
+        let scores = p.wait().expect("scored");
+        assert_eq!(scores[0].to_bits(), w.offline[k].to_bits(), "row {k}");
+    }
+    let stats = engine.shutdown();
+    failpoint::clear();
+    assert_eq!(stats.rows_scored, 4);
+}

@@ -1,22 +1,19 @@
-//! The sharded front end's correctness battery: routing stability,
-//! sharded-vs-single-engine-vs-offline bit-identity, and seeded MPMC
-//! proptests over the lock-free ring.
+//! The sharded front end's correctness battery: routing stability and
+//! sharded-vs-single-engine-vs-offline bit-identity.
 //!
 //! The routing contract under test: a route is a pure function of
 //! `(key, shard count)` — the same key routes to the same shard across
 //! process restarts, never changing as a side effect of traffic,
 //! reloads, or time.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use lightmirm_core::prelude::*;
 use lightmirm_core::trainers::TrainConfig;
-use lightmirm_serve::ring::MpmcRing;
 use lightmirm_serve::shard::route;
 use lightmirm_serve::{EngineConfig, Priority, ShardConfig, ShardedEngine, SubmitOptions};
 use loansim::{generate, temporal_split, GeneratorConfig, LoanFrame, ProvinceCatalog};
-use proptest::prelude::*;
 
 struct World {
     bundle: ModelBundle,
@@ -262,109 +259,4 @@ fn concurrent_mixed_priority_submits_across_shards_lose_and_duplicate_nothing() 
         stats.iter().filter(|s| s.rows_scored > 0).count() > 1,
         "the stream must actually exercise more than one shard"
     );
-}
-
-// ---------------------------------------------------------------------------
-// Seeded MPMC proptests over the ring itself
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Any producer/consumer/capacity schedule: every pushed item is
-    /// popped exactly once (multiset equality), and each producer's
-    /// items emerge in that producer's push order when reassembled.
-    #[test]
-    fn ring_loses_and_duplicates_nothing_under_random_schedules(
-        producers in 1usize..5,
-        consumers in 1usize..4,
-        per_producer in 1usize..400,
-        capacity in 1usize..700,
-    ) {
-        let ring = Arc::new(MpmcRing::<(usize, usize)>::with_capacity(capacity));
-        let total = producers * per_producer;
-        let popped = Arc::new(Mutex::new(Vec::with_capacity(total)));
-        let remaining = Arc::new(std::sync::atomic::AtomicUsize::new(total));
-        std::thread::scope(|s| {
-            for p in 0..producers {
-                let ring = Arc::clone(&ring);
-                s.spawn(move || {
-                    for i in 0..per_producer {
-                        let mut item = (p, i);
-                        loop {
-                            match ring.push(item) {
-                                Ok(()) => break,
-                                Err(back) => {
-                                    item = back;
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-            for _ in 0..consumers {
-                let ring = Arc::clone(&ring);
-                let popped = Arc::clone(&popped);
-                let remaining = Arc::clone(&remaining);
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        match ring.pop() {
-                            Some(item) => {
-                                local.push(item);
-                                remaining.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-                            }
-                            None => {
-                                if remaining.load(std::sync::atomic::Ordering::Relaxed) == 0 {
-                                    break;
-                                }
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                    popped.lock().unwrap().extend(local);
-                });
-            }
-        });
-        let got = popped.lock().unwrap();
-        prop_assert_eq!(got.len(), total);
-        // Multiset equality: sort and compare against the full grid.
-        let mut sorted = got.clone();
-        sorted.sort_unstable();
-        let expect: Vec<(usize, usize)> = (0..producers)
-            .flat_map(|p| (0..per_producer).map(move |i| (p, i)))
-            .collect();
-        prop_assert_eq!(sorted, expect);
-        prop_assert!(ring.is_empty());
-    }
-
-    /// Items of interleaved priority classes pushed by one producer and
-    /// drained by one consumer stay FIFO within every class — the
-    /// queue-order guarantee a shard gives each priority class.
-    #[test]
-    fn ring_is_fifo_per_priority_class_within_a_shard(
-        classes in proptest::collection::vec(0u8..3, 0..500),
-    ) {
-        let ring = MpmcRing::<(u8, usize)>::with_capacity(classes.len().max(1));
-        let mut seqs = [0usize; 3];
-        for &c in &classes {
-            let seq = seqs[c as usize];
-            seqs[c as usize] += 1;
-            ring.push((c, seq)).expect("capacity covers the trace");
-        }
-        let mut next_expected = [0usize; 3];
-        let mut drained = 0usize;
-        while let Some((c, seq)) = ring.pop() {
-            prop_assert_eq!(
-                seq,
-                next_expected[c as usize],
-                "class {} replied out of order",
-                c
-            );
-            next_expected[c as usize] += 1;
-            drained += 1;
-        }
-        prop_assert_eq!(drained, classes.len());
-    }
 }
