@@ -2,13 +2,14 @@
 //! stopping, prediction, and the GBDT+LR leaf-index transform.
 
 use crate::binning::BinnedDataset;
-use crate::grow::{grow_tree_sampled, GrowConfig};
+use crate::grow::{grow, GrowConfig, HistogramPool};
 use crate::tree::{Node, Tree};
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 
 /// Hyper-parameters of a boosted ensemble.
+///
+/// Every tree grows over all training rows and all features: there is no
+/// row bagging or feature sub-sampling, so a fit depends on nothing but
+/// its data and this config.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct GbdtConfig {
     /// Number of boosting rounds (trees).
@@ -22,15 +23,6 @@ pub struct GbdtConfig {
     /// Stop when the validation logloss has not improved for this many
     /// rounds (requires a validation set in [`Gbdt::fit_with_valid`]).
     pub early_stopping_rounds: Option<usize>,
-    /// Fraction of features considered per tree (LightGBM
-    /// `feature_fraction`); `1.0` disables sub-sampling.
-    pub feature_fraction: f64,
-    /// Fraction of rows used per tree (LightGBM `bagging_fraction`);
-    /// `1.0` disables bagging.
-    pub bagging_fraction: f64,
-    /// Seed for the stochastic knobs (irrelevant when both fractions are
-    /// `1.0`).
-    pub seed: u64,
 }
 
 impl Default for GbdtConfig {
@@ -41,9 +33,6 @@ impl Default for GbdtConfig {
             max_bins: 255,
             grow: GrowConfig::default(),
             early_stopping_rounds: None,
-            feature_fraction: 1.0,
-            bagging_fraction: 1.0,
-            seed: 0,
         }
     }
 }
@@ -409,70 +398,22 @@ impl Gbdt {
         let mut best_len = 0usize;
         let mut stall = 0usize;
 
-        assert!(
-            (0.0..=1.0).contains(&config.feature_fraction) && config.feature_fraction > 0.0,
-            "feature_fraction must be in (0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&config.bagging_fraction) && config.bagging_fraction > 0.0,
-            "bagging_fraction must be in (0, 1]"
-        );
-        let stochastic = config.feature_fraction < 1.0 || config.bagging_fraction < 1.0;
-        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-
+        // One pool of histogram sets serves every tree of the fit.
+        let mut pool = HistogramPool::default();
         for _round in 0..config.n_trees {
             for i in 0..n_rows {
                 let p = sigmoid(scores[i]);
                 grads[i] = p - labels[i] as f64;
                 hessians[i] = (p * (1.0 - p)).max(1e-16);
             }
-            // Per-tree stochastic knobs: a random feature mask and row bag.
-            let feature_mask: Option<Vec<bool>> = (config.feature_fraction < 1.0).then(|| {
-                let keep = ((n_features as f64 * config.feature_fraction).round() as usize)
-                    .clamp(1, n_features);
-                let mut picks: Vec<usize> = (0..n_features).collect();
-                picks.shuffle(&mut rng);
-                let mut mask = vec![false; n_features];
-                for &f in &picks[..keep] {
-                    mask[f] = true;
-                }
-                mask
-            });
-            let bag: Option<Vec<u32>> = (config.bagging_fraction < 1.0).then(|| {
-                (0..n_rows as u32)
-                    .filter(|_| rng.gen::<f64>() < config.bagging_fraction)
-                    .collect()
-            });
-            let bag = match bag {
-                // An unlucky empty bag falls back to the full row set.
-                Some(b) if b.is_empty() => None,
-                other => other,
-            };
-            let mut grown = grow_tree_sampled(
-                &data,
-                &grads,
-                &hessians,
-                &config.grow,
-                bag.as_deref(),
-                feature_mask.as_deref(),
-            );
+            let mut grown = grow(&data, &grads, &hessians, &config.grow, &mut pool);
             // Shrinkage folds into the stored leaf values so that
             // prediction is a plain sum over trees.
             grown.tree = scale_leaves(grown.tree, config.learning_rate);
-            if stochastic {
-                // Bagged trees must also update out-of-bag rows: route each
-                // row through the raw-threshold tree.
-                for (i, score) in scores.iter_mut().enumerate() {
-                    *score += grown
-                        .tree
-                        .predict(&features[i * n_features..(i + 1) * n_features]);
-                }
-            } else {
-                for (leaf_idx, rows) in grown.leaf_rows.iter().enumerate() {
-                    let value = leaf_output(&grown.tree, leaf_idx as u32);
-                    for &r in rows {
-                        scores[r as usize] += value;
-                    }
+            for (leaf_idx, rows) in grown.leaf_rows.iter().enumerate() {
+                let value = leaf_output(&grown.tree, leaf_idx as u32);
+                for &r in rows {
+                    scores[r as usize] += value;
                 }
             }
             for (imp, g) in model.feature_importance.iter_mut().zip(&grown.feature_gain) {
@@ -792,42 +733,42 @@ mod tests {
         assert!(imp[0] > 10.0 * imp[1].max(1e-12));
     }
 
+    /// The root pass and the child builds fan contiguous feature runs out
+    /// over the pool above 2¹⁶ updates; each feature's sums are its own,
+    /// so the model is the same at any pool width. 70,000 rows cross a
+    /// `u16` row block, and one feature carries NaN.
     #[test]
-    fn stochastic_knobs_train_and_stay_deterministic() {
-        let (feats, labels) = ring_data(1500);
-        let mut config = quick_config(20);
-        config.feature_fraction = 0.5;
-        config.bagging_fraction = 0.7;
-        config.seed = 9;
-        let a = Gbdt::fit(&feats, 2, &labels, &config).unwrap();
-        let b = Gbdt::fit(&feats, 2, &labels, &config).unwrap();
-        assert_eq!(a, b);
-        // Still learns the ring.
-        let probs = a.predict_proba_batch(&feats);
-        let acc = probs
-            .iter()
-            .zip(&labels)
-            .filter(|&(&p, &y)| (p >= 0.5) == (y != 0))
-            .count() as f64
-            / labels.len() as f64;
-        assert!(acc > 0.9, "stochastic train accuracy {acc}");
-        // A different seed gives a different ensemble.
-        config.seed = 10;
-        let c = Gbdt::fit(&feats, 2, &labels, &config).unwrap();
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn full_fractions_match_the_deterministic_path() {
-        let (feats, labels) = ring_data(500);
-        let mut config = quick_config(5);
-        config.feature_fraction = 1.0;
-        config.bagging_fraction = 1.0;
-        config.seed = 123; // must be irrelevant
-        let a = Gbdt::fit(&feats, 2, &labels, &config).unwrap();
-        config.seed = 456;
-        let b = Gbdt::fit(&feats, 2, &labels, &config).unwrap();
-        assert_eq!(a, b);
+    fn fit_is_identical_under_one_and_four_threads() {
+        let n = 70_000;
+        let (ring, labels) = ring_data(n);
+        let feats: Vec<f32> = ring
+            .chunks_exact(2)
+            .enumerate()
+            .flat_map(|(i, xy)| {
+                let noise = ((i * 2_654_435_761) % 1_009) as f32;
+                let nan_or = if i % 13 == 0 { f32::NAN } else { xy[0] * xy[1] };
+                [
+                    xy[0],
+                    xy[1],
+                    noise,
+                    nan_or,
+                    (i % 7) as f32,
+                    xy[0] + noise / 1e3,
+                ]
+            })
+            .collect();
+        let fit = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| Gbdt::fit(&feats, 6, &labels, &quick_config(6)).unwrap())
+        };
+        let (one, four) = (fit(1), fit(4));
+        assert_eq!(
+            serde_json::to_string(&one).unwrap(),
+            serde_json::to_string(&four).unwrap()
+        );
     }
 
     #[test]
@@ -1041,6 +982,9 @@ mod tests {
     mod properties {
         use super::*;
         use proptest::prelude::*;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
 
         /// Thresholds are drawn from here, and so are most row values, so
         /// rows land on thresholds exactly. (JSON has no infinities, so a

@@ -2,15 +2,20 @@
 //!
 //! LightGBM's distinguishing growth strategy: instead of expanding level by
 //! level, always split the leaf with the highest gain until `max_leaves`
-//! leaves exist or no leaf has a positive-gain split. The smaller child's
-//! histograms are built from data; the larger child's are the parent's
-//! with the smaller child's subtracted in place (the subtraction trick).
+//! leaves exist or no leaf has a positive-gain split. The root is always
+//! the whole training set, and its histograms are summed bin by bin over
+//! the dataset's grouped rows. Below it, the smaller child's histograms
+//! are built from its rows, and the larger child's are the parent's with
+//! the smaller child's subtracted in place (the subtraction trick). Every
+//! build overwrites a histogram set recycled through a `HistogramPool`.
 
 use crate::binning::BinnedDataset;
 use crate::histogram::{
-    best_split, leaf_value, FeatureHistogram, GroupAccumulator, SplitCandidate, GROUP,
+    best_split, build_by_bins, leaf_value, FeatureHistogram, GroupAccumulator, SplitCandidate,
+    GROUP,
 };
 use crate::tree::{Node, Tree};
+use rayon::prelude::*;
 
 /// Structural hyper-parameters of a single tree.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -55,6 +60,26 @@ struct WorkingLeaf {
     best: Option<SplitCandidate>,
 }
 
+/// Histogram sets, one [`FeatureHistogram`] per feature, that finished
+/// leaves hand back for later builds to overwrite: a fit allocates sets
+/// only while its number of live leaves grows.
+#[derive(Default)]
+pub(crate) struct HistogramPool {
+    free: Vec<Vec<FeatureHistogram>>,
+}
+
+impl HistogramPool {
+    /// A set sized for `data`'s features; its sums are stale until a build
+    /// overwrites them.
+    fn take(&mut self, data: &BinnedDataset) -> Vec<FeatureHistogram> {
+        self.free.pop().unwrap_or_else(|| {
+            (0..data.n_features())
+                .map(|f| FeatureHistogram::zeros(data.mapper(f).n_bins()))
+                .collect()
+        })
+    }
+}
+
 /// Grow one tree against per-row gradients and hessians.
 ///
 /// # Panics
@@ -66,44 +91,26 @@ pub fn grow_tree(
     hessians: &[f64],
     config: &GrowConfig,
 ) -> GrownTree {
-    grow_tree_sampled(data, grads, hessians, config, None, None)
+    grow(data, grads, hessians, config, &mut HistogramPool::default())
 }
 
-/// [`grow_tree`] restricted to a row subset (bagging) and/or a feature
-/// subset (feature sub-sampling). `allowed_features[f] = false` removes
-/// feature `f` from split consideration for this tree.
-///
-/// # Panics
-///
-/// Panics on length mismatches, an empty row subset, or a feature mask of
-/// the wrong width.
-pub fn grow_tree_sampled(
+/// [`grow_tree`], taking its histogram sets from `pool` and returning them
+/// there.
+pub(crate) fn grow(
     data: &BinnedDataset,
     grads: &[f64],
     hessians: &[f64],
     config: &GrowConfig,
-    row_subset: Option<&[u32]>,
-    allowed_features: Option<&[bool]>,
+    pool: &mut HistogramPool,
 ) -> GrownTree {
     assert_eq!(grads.len(), data.n_rows(), "gradient length mismatch");
     assert_eq!(hessians.len(), data.n_rows(), "hessian length mismatch");
     assert!(config.max_leaves >= 1);
-    if let Some(mask) = allowed_features {
-        assert_eq!(mask.len(), data.n_features(), "feature mask width mismatch");
-    }
 
-    let n_features = data.n_features();
-    let mut feature_gain = vec![0.0f64; n_features];
-
-    let all_rows: Vec<u32> = match row_subset {
-        Some(rows) => {
-            assert!(!rows.is_empty(), "empty bagging subset");
-            rows.to_vec()
-        }
-        None => (0..data.n_rows() as u32).collect(),
-    };
-    let root_hists = build_histograms(data, &all_rows, grads, hessians);
-    let root_best = scan_best_masked(&root_hists, config, allowed_features);
+    let mut feature_gain = vec![0.0f64; data.n_features()];
+    let mut root_hists = pool.take(data);
+    root_histograms(data, grads, hessians, &mut root_hists);
+    let root_best = scan_best(&root_hists, config);
 
     // Provisional flat tree; leaves are patched into splits as they grow.
     let mut nodes: Vec<Node> = vec![Node::Leaf {
@@ -112,7 +119,7 @@ pub fn grow_tree_sampled(
     }];
     let mut working = vec![WorkingLeaf {
         node_slot: 0,
-        rows: all_rows,
+        rows: (0..data.n_rows() as u32).collect(),
         hists: root_hists,
         best: root_best,
     }];
@@ -148,12 +155,14 @@ pub fn grow_tree_sampled(
         debug_assert_eq!(right_rows.len(), split.right_count as usize);
 
         // Build the smaller child's histograms; subtract for the larger.
-        let (small_rows, _large_rows, small_is_left) = if left_rows.len() <= right_rows.len() {
-            (&left_rows, &right_rows, true)
+        let small_is_left = left_rows.len() <= right_rows.len();
+        let small_rows = if small_is_left {
+            &left_rows
         } else {
-            (&right_rows, &left_rows, false)
+            &right_rows
         };
-        let small_hists = build_histograms(data, small_rows, grads, hessians);
+        let mut small_hists = pool.take(data);
+        build_histograms(data, small_rows, grads, hessians, &mut small_hists);
         let mut large_hists = leaf.hists;
         for (parent, small) in large_hists.iter_mut().zip(&small_hists) {
             parent.subtract(small);
@@ -189,7 +198,10 @@ pub fn grow_tree_sampled(
             (left_slot, left_rows, left_hists),
             (right_slot, right_rows, right_hists),
         ] {
-            let best = scan_best_masked(&hists, config, allowed_features);
+            // Scanned even when this split fills the tree: whether a leaf
+            // has a split decides whether it is numbered with the
+            // finalized leaves or the working ones.
+            let best = scan_best(&hists, config);
             let child = WorkingLeaf {
                 node_slot: slot,
                 rows,
@@ -208,15 +220,17 @@ pub fn grow_tree_sampled(
     }
     finalized.append(&mut working);
 
-    // Assign dense leaf indices and optimal values.
+    // Assign dense leaf indices and optimal values; the sets go back to
+    // the pool.
     let mut leaf_rows: Vec<Vec<u32>> = Vec::with_capacity(finalized.len());
     for (leaf_idx, leaf) in finalized.into_iter().enumerate() {
-        let totals = leaf.hists.first().map(|h| h.totals()).unwrap_or_default();
+        let totals = leaf.hists[0].totals();
         let value = leaf_value(totals.grad, totals.hess, config.lambda_l2);
         nodes[leaf.node_slot] = Node::Leaf {
             value,
             index: leaf_idx as u32,
         };
+        pool.free.push(leaf.hists);
         leaf_rows.push(leaf.rows);
     }
     let n_leaves = leaf_rows.len() as u32;
@@ -227,56 +241,74 @@ pub fn grow_tree_sampled(
     }
 }
 
-/// Histograms of every feature over a leaf's rows, [`GROUP`] features per
-/// pass.
+/// Features per contiguous run when `updates` row × feature additions are
+/// split over the pool, a multiple of `unit`: small builds stay on this
+/// thread in one run (the fork/join would not pay), larger ones get a run
+/// per thread. Each feature's sums are independent of the others, so the
+/// result does not depend on the pool width.
+fn run_len(updates: usize, n_features: usize, unit: usize) -> usize {
+    let workers = if updates < 1 << 16 {
+        1
+    } else {
+        rayon::current_num_threads()
+    };
+    n_features.div_ceil(unit).div_ceil(workers) * unit
+}
+
+/// The root's histograms over every row, bin by bin, written over `set`.
+fn root_histograms(
+    data: &BinnedDataset,
+    grads: &[f64],
+    hessians: &[f64],
+    set: &mut [FeatureHistogram],
+) {
+    // Every row's (gradient, hessian) pair, interleaved: one 16-byte load
+    // per row a bin adds.
+    let pairs: Vec<(f64, f64)> = grads
+        .iter()
+        .copied()
+        .zip(hessians.iter().copied())
+        .collect();
+    let run = run_len(data.n_rows() * set.len(), set.len(), 1);
+    set.par_chunks_mut(run).enumerate().for_each(|(i, hists)| {
+        build_by_bins(&data.bin_rows()[i * run..][..hists.len()], &pairs, hists);
+    });
+}
+
+/// A leaf's histograms over its rows, [`GROUP`] features per pass,
+/// written over `set`.
 fn build_histograms(
     data: &BinnedDataset,
     rows: &[u32],
     grads: &[f64],
     hessians: &[f64],
-) -> Vec<FeatureHistogram> {
-    use rayon::prelude::*;
+    set: &mut [FeatureHistogram],
+) {
     // The leaf's (gradient, hessian) pairs in row order: every group's pass
     // reads them sequentially instead of gathering them per feature.
     let gh: Vec<(f64, f64)> = rows
         .iter()
         .map(|&r| (grads[r as usize], hessians[r as usize]))
         .collect();
-    let columns: Vec<(&[u8], usize)> = (0..data.n_features())
-        .map(|f| (data.feature_codes(f), data.mapper(f).n_bins()))
+    let columns: Vec<&[u8]> = (0..data.n_features())
+        .map(|f| data.feature_codes(f))
         .collect();
-    let groups: Vec<&[(&[u8], usize)]> = columns.chunks(GROUP).collect();
-    // Groups are independent. Fan contiguous runs of them out over the
-    // pool when the work is large enough to amortize the fork/join (small
-    // leaves stay on this thread); each run reuses one accumulator.
-    let workers = if rows.len() * columns.len() < 1 << 16 {
-        1
-    } else {
-        rayon::current_num_threads()
-    };
-    groups
-        .par_chunks(groups.len().div_ceil(workers))
-        .map(|run| {
-            let mut acc = GroupAccumulator::new();
-            run.iter()
-                .flat_map(|group| acc.build(group, rows, &gh))
-                .collect::<Vec<_>>()
-        })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .flatten()
-        .collect()
+    let run = run_len(rows.len() * set.len(), set.len(), GROUP);
+    set.par_chunks_mut(run).enumerate().for_each(|(i, hists)| {
+        let mut acc = GroupAccumulator::new();
+        for (group, codes) in hists
+            .chunks_mut(GROUP)
+            .zip(columns[i * run..].chunks(GROUP))
+        {
+            acc.fill(codes, rows, &gh, group);
+        }
+    });
 }
 
-fn scan_best_masked(
-    hists: &[FeatureHistogram],
-    config: &GrowConfig,
-    allowed: Option<&[bool]>,
-) -> Option<SplitCandidate> {
+fn scan_best(hists: &[FeatureHistogram], config: &GrowConfig) -> Option<SplitCandidate> {
     hists
         .iter()
         .enumerate()
-        .filter(|(f, _)| allowed.is_none_or(|mask| mask[*f]))
         .filter_map(|(f, h)| {
             best_split(
                 h,
@@ -539,37 +571,6 @@ mod tests {
         let (g, h) = regression_grads(&[2.0, 2.0, 2.0, 2.0]);
         let grown = grow_tree(&data, &g, &h, &cfg(8, 1));
         assert_eq!(grown.tree.n_leaves(), 1);
-    }
-
-    #[test]
-    fn feature_mask_excludes_features_from_splits() {
-        // Both features informative; masking feature 0 forces splits on 1.
-        let n = 200;
-        let feats: Vec<f32> = (0..n).flat_map(|i| [i as f32, (n - i) as f32]).collect();
-        let targets: Vec<f64> = (0..n).map(|i| (i >= 100) as u8 as f64).collect();
-        let data = BinnedDataset::fit(&feats, 2, 32);
-        let (g, h) = regression_grads(&targets);
-        let grown = grow_tree_sampled(&data, &g, &h, &cfg(4, 1), None, Some(&[false, true]));
-        assert_eq!(grown.feature_gain[0], 0.0);
-        assert!(grown.feature_gain[1] > 0.0);
-    }
-
-    #[test]
-    fn row_subset_limits_leaf_rows() {
-        let n = 100;
-        let feats: Vec<f32> = (0..n).map(|i| i as f32).collect();
-        let targets: Vec<f64> = (0..n).map(|i| (i >= 50) as u8 as f64).collect();
-        let data = BinnedDataset::fit(&feats, 1, 32);
-        let (g, h) = regression_grads(&targets);
-        let subset: Vec<u32> = (0..n as u32).step_by(2).collect();
-        let grown = grow_tree_sampled(&data, &g, &h, &cfg(4, 1), Some(&subset), None);
-        let covered: usize = grown.leaf_rows.iter().map(Vec::len).sum();
-        assert_eq!(covered, subset.len());
-        for rows in &grown.leaf_rows {
-            for &r in rows {
-                assert!(r.is_multiple_of(2), "row {r} outside the bag");
-            }
-        }
     }
 
     #[test]

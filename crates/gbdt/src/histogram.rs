@@ -8,9 +8,13 @@
 //! histogram construction cost, as in LightGBM.
 //!
 //! [`FeatureHistogram::build`] is the per-feature reference. The grower
-//! builds four features per pass over a leaf's rows instead (the
-//! crate-private `GroupAccumulator`); every bin still adds its rows in
-//! leaf order, so both produce the same bits.
+//! builds a leaf's histograms four features per pass over its rows
+//! instead (the crate-private `GroupAccumulator`), and the root's bin by
+//! bin over the dataset's grouped rows (`build_by_bins`). Every bin still
+//! adds its rows in ascending row order, so all three produce the same
+//! bits.
+
+use crate::binning::{BinRows, BLOCK_ROWS};
 
 /// Per-bin accumulator.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -108,42 +112,57 @@ impl GroupAccumulator {
     }
 
     /// Histograms of up to [`GROUP`] features over the same rows, in one
-    /// pass. `columns[k]` is a feature's code column and its bin count;
-    /// `gh[i]` is the (gradient, hessian) pair of row `rows[i]`.
+    /// pass, written over `out` (feature `k`'s codes are `codes[k]`, its
+    /// bin count `out[k]`'s). `gh[i]` is the (gradient, hessian) pair of
+    /// row `rows[i]`.
     ///
     /// Every code must be below its feature's bin count, as
     /// [`crate::BinnedDataset`] guarantees. Each bin sums its rows in
     /// `rows` order, exactly as [`FeatureHistogram::build`] does, so the
     /// result is bit-identical to building each feature alone.
+    pub(crate) fn fill(
+        &mut self,
+        codes: &[&[u8]],
+        rows: &[u32],
+        gh: &[(f64, f64)],
+        out: &mut [FeatureHistogram],
+    ) {
+        debug_assert_eq!(rows.len(), gh.len());
+        debug_assert_eq!(codes.len(), out.len());
+        match *codes {
+            [a] => self.accumulate([a], rows, gh),
+            [a, b] => self.accumulate([a, b], rows, gh),
+            [a, b, c] => self.accumulate([a, b, c], rows, gh),
+            [a, b, c, d] => self.accumulate([a, b, c, d], rows, gh),
+            _ => panic!("a group holds 1..={GROUP} features, got {}", codes.len()),
+        }
+        for (hist, acc) in out.iter_mut().zip(self.slots.iter_mut()) {
+            let used = &mut acc[..hist.bins.len()];
+            hist.bins.copy_from_slice(used);
+            used.fill(BinStats::default());
+            debug_assert!(
+                acc[hist.bins.len()..].iter().all(|s| s.count == 0),
+                "bin code at or above n_bins"
+            );
+        }
+    }
+
+    /// [`GroupAccumulator::fill`] into fresh histograms; `columns[k]` is a
+    /// feature's code column and its bin count.
+    #[cfg(test)]
     pub(crate) fn build(
         &mut self,
         columns: &[(&[u8], usize)],
         rows: &[u32],
         gh: &[(f64, f64)],
     ) -> Vec<FeatureHistogram> {
-        debug_assert_eq!(rows.len(), gh.len());
-        let codes = |k: usize| columns[k].0;
-        match columns.len() {
-            1 => self.accumulate([codes(0)], rows, gh),
-            2 => self.accumulate([codes(0), codes(1)], rows, gh),
-            3 => self.accumulate([codes(0), codes(1), codes(2)], rows, gh),
-            4 => self.accumulate([codes(0), codes(1), codes(2), codes(3)], rows, gh),
-            n => panic!("a group holds 1..={GROUP} features, got {n}"),
-        }
-        columns
+        let codes: Vec<&[u8]> = columns.iter().map(|&(c, _)| c).collect();
+        let mut out: Vec<FeatureHistogram> = columns
             .iter()
-            .zip(self.slots.iter_mut())
-            .map(|(&(_, n_bins), acc)| {
-                let used = &mut acc[..n_bins];
-                let bins = used.to_vec();
-                used.fill(BinStats::default());
-                debug_assert!(
-                    acc[n_bins..].iter().all(|s| s.count == 0),
-                    "bin code at or above n_bins"
-                );
-                FeatureHistogram { bins }
-            })
-            .collect()
+            .map(|&(_, n_bins)| FeatureHistogram::zeros(n_bins))
+            .collect();
+        self.fill(&codes, rows, gh, &mut out);
+        out
     }
 
     fn accumulate<const N: usize>(&mut self, codes: [&[u8]; N], rows: &[u32], gh: &[(f64, f64)]) {
@@ -155,6 +174,148 @@ impl GroupAccumulator {
                 slot.hess += h;
                 slot.count += 1;
             }
+        }
+    }
+}
+
+/// Bins whose sums [`build_by_bins`] runs at once, so that their add
+/// chains overlap.
+const LANES: usize = 4;
+
+/// One bin's running sum in [`build_by_bins`].
+#[derive(Clone, Copy)]
+struct Lane<'a> {
+    /// The feature (index into the run) and bin being summed; `None` when
+    /// the lane is idle.
+    chain: Option<(usize, usize)>,
+    /// The bin's next block to read.
+    block: usize,
+    /// The unread rows of the current block, and that block's first row.
+    rest: &'a [u16],
+    base: usize,
+    grad: f64,
+    hess: f64,
+}
+
+impl<'a> Lane<'a> {
+    const IDLE: Lane<'static> = Lane {
+        chain: None,
+        block: 0,
+        rest: &[],
+        base: 0,
+        grad: 0.0,
+        hess: 0.0,
+    };
+
+    /// Until the lane has rows to sum: move on to its bin's next block,
+    /// or write its finished bin to `out` and take the next bin from
+    /// `queue`. The lane stays idle once `queue` is empty.
+    // Four calls a round; left out of line, they were a measurable share
+    // of the pass.
+    #[inline(always)]
+    fn settle(
+        &mut self,
+        rows: &'a [BinRows],
+        queue: &mut impl Iterator<Item = (usize, usize)>,
+        out: &mut [FeatureHistogram],
+    ) {
+        while self.rest.is_empty() {
+            match self.chain {
+                Some((f, b)) if self.block < rows[f].n_blocks() => {
+                    self.rest = rows[f].segment(b, self.block);
+                    self.base = self.block * BLOCK_ROWS;
+                    self.block += 1;
+                }
+                Some((f, b)) => {
+                    out[f].bins[b] = BinStats {
+                        grad: self.grad,
+                        hess: self.hess,
+                        count: rows[f].bin_len(b) as u32,
+                    };
+                    *self = Lane::IDLE;
+                }
+                None => match queue.next() {
+                    Some(chain) => self.chain = Some(chain),
+                    None => return,
+                },
+            }
+        }
+    }
+}
+
+/// The histograms of a run of features over every row, summed bin by bin.
+///
+/// `rows[i]` holds feature `i`'s rows grouped by bin, and its histogram is
+/// written over `out[i]`; `pairs[r]` is row `r`'s (gradient, hessian)
+/// pair.
+///
+/// Each bin adds its rows' pairs in ascending row order starting from
+/// 0.0: the additions [`FeatureHistogram::build`] makes over all rows, in
+/// the same order, so the bits are the same. But the running sums stay in
+/// registers instead of making a read-modify-write through memory per
+/// row. [`LANES`] bins are summed in lockstep for as many rows as the
+/// shortest has left in its block; a lane whose bin runs out takes the
+/// run's next bin, and the last few bins finish one at a time.
+pub(crate) fn build_by_bins(rows: &[BinRows], pairs: &[(f64, f64)], out: &mut [FeatureHistogram]) {
+    debug_assert_eq!(rows.len(), out.len());
+    let mut queue = rows
+        .iter()
+        .enumerate()
+        .flat_map(|(f, r)| (0..r.n_bins()).map(move |b| (f, b)));
+    let mut lanes = [Lane::IDLE; LANES];
+    loop {
+        for lane in &mut lanes {
+            lane.settle(rows, &mut queue, out);
+        }
+        if lanes.iter().any(|lane| lane.chain.is_none()) {
+            break;
+        }
+        let steps = lanes.iter().map(|lane| lane.rest.len()).min().unwrap_or(0);
+        let [a, b, c, d] = &mut lanes;
+        let (ra, rb, rc, rd) = (
+            &a.rest[..steps],
+            &b.rest[..steps],
+            &c.rest[..steps],
+            &d.rest[..steps],
+        );
+        let (pa, pb, pc, pd) = (
+            &pairs[a.base..],
+            &pairs[b.base..],
+            &pairs[c.base..],
+            &pairs[d.base..],
+        );
+        let (mut sa, mut sb, mut sc, mut sd) = (
+            (a.grad, a.hess),
+            (b.grad, b.hess),
+            (c.grad, c.hess),
+            (d.grad, d.hess),
+        );
+        for i in 0..steps {
+            let (ga, ha) = pa[usize::from(ra[i])];
+            let (gb, hb) = pb[usize::from(rb[i])];
+            let (gc, hc) = pc[usize::from(rc[i])];
+            let (gd, hd) = pd[usize::from(rd[i])];
+            sa = (sa.0 + ga, sa.1 + ha);
+            sb = (sb.0 + gb, sb.1 + hb);
+            sc = (sc.0 + gc, sc.1 + hc);
+            sd = (sd.0 + gd, sd.1 + hd);
+        }
+        for (lane, (grad, hess)) in [a, b, c, d].into_iter().zip([sa, sb, sc, sd]) {
+            lane.rest = &lane.rest[steps..];
+            lane.grad = grad;
+            lane.hess = hess;
+        }
+    }
+    // The queue is empty: finish the bins still in lanes one at a time.
+    for lane in &mut lanes {
+        while lane.chain.is_some() {
+            for &offset in lane.rest {
+                let (g, h) = pairs[lane.base + usize::from(offset)];
+                lane.grad += g;
+                lane.hess += h;
+            }
+            lane.rest = &[];
+            lane.settle(rows, &mut queue, out);
         }
     }
 }
@@ -180,7 +341,10 @@ fn leaf_score(grad: f64, hess: f64, lambda: f64) -> f64 {
 /// Gain is the standard second-order criterion
 /// `score(G_L,H_L) + score(G_R,H_R) − score(G,H)` with L2 penalty
 /// `lambda`. Splits leaving fewer than `min_data_in_leaf` rows on a side
-/// are skipped. Returns `None` when no split beats `min_gain`.
+/// are skipped: the scan computes no gain until the left side holds that
+/// many rows, and stops at the first bin whose right side holds fewer,
+/// because left counts only grow. Of equal gains the first bin wins.
+/// Returns `None` when no split beats `min_gain`.
 pub fn best_split(
     hist: &FeatureHistogram,
     feature: u32,
@@ -191,32 +355,36 @@ pub fn best_split(
     let totals = hist.totals();
     let parent = leaf_score(totals.grad, totals.hess, lambda);
     let mut left = BinStats::default();
-    let mut best: Option<SplitCandidate> = None;
+    let mut best_gain = min_gain;
+    let mut best: Option<(usize, u32)> = None;
     // Splitting after the last bin sends everything left; skip it.
     for (b, stats) in hist.bins().iter().enumerate().take(hist.bins().len() - 1) {
         left.grad += stats.grad;
         left.hess += stats.hess;
         left.count += stats.count;
-        let right_count = totals.count - left.count;
-        if left.count < min_data_in_leaf || right_count < min_data_in_leaf {
+        if left.count < min_data_in_leaf {
             continue;
+        }
+        if totals.count - left.count < min_data_in_leaf {
+            break;
         }
         let right_grad = totals.grad - left.grad;
         let right_hess = totals.hess - left.hess;
         let gain = leaf_score(left.grad, left.hess, lambda)
             + leaf_score(right_grad, right_hess, lambda)
             - parent;
-        if gain > min_gain && best.is_none_or(|c| gain > c.gain) {
-            best = Some(SplitCandidate {
-                feature,
-                threshold_bin: b as u8,
-                gain,
-                left_count: left.count,
-                right_count,
-            });
+        if gain > best_gain {
+            best_gain = gain;
+            best = Some((b, left.count));
         }
     }
-    best
+    best.map(|(b, left_count)| SplitCandidate {
+        feature,
+        threshold_bin: b as u8,
+        gain: best_gain,
+        left_count,
+        right_count: totals.count - left_count,
+    })
 }
 
 /// Optimal leaf value for the accumulated gradients: `-G / (H + λ)`.
@@ -365,6 +533,133 @@ mod tests {
         a.subtract(&b);
     }
 
+    /// Bin-by-bin root histograms of every feature of `data`, written
+    /// over histograms filled with garbage first.
+    fn root_by_bins(
+        data: &crate::BinnedDataset,
+        grads: &[f64],
+        hess: &[f64],
+    ) -> Vec<FeatureHistogram> {
+        let garbage = BinStats {
+            grad: f64::NAN,
+            hess: -7.0,
+            count: 99,
+        };
+        let mut out: Vec<FeatureHistogram> = (0..data.n_features())
+            .map(|f| FeatureHistogram {
+                bins: vec![garbage; data.mapper(f).n_bins()],
+            })
+            .collect();
+        let pairs: Vec<(f64, f64)> = grads.iter().copied().zip(hess.iter().copied()).collect();
+        build_by_bins(data.bin_rows(), &pairs, &mut out);
+        out
+    }
+
+    /// `got` against the per-feature reference over every row, bit for bit.
+    fn assert_matches_per_row_build(
+        got: &[FeatureHistogram],
+        data: &crate::BinnedDataset,
+        grads: &[f64],
+        hess: &[f64],
+    ) {
+        let all: Vec<u32> = (0..data.n_rows() as u32).collect();
+        for (f, got) in got.iter().enumerate() {
+            let n_bins = data.mapper(f).n_bins();
+            let want = FeatureHistogram::build(data.feature_codes(f), &all, grads, hess, n_bins);
+            assert_eq!(got.bins().len(), n_bins);
+            for (b, (g, w)) in got.bins().iter().zip(want.bins()).enumerate() {
+                assert_eq!(
+                    g.grad.to_bits(),
+                    w.grad.to_bits(),
+                    "feature {f} bin {b} grad"
+                );
+                assert_eq!(
+                    g.hess.to_bits(),
+                    w.hess.to_bits(),
+                    "feature {f} bin {b} hess"
+                );
+                assert_eq!(g.count, w.count, "feature {f} bin {b} count");
+            }
+        }
+    }
+
+    /// Row counts on both sides of a `u16` block: each bin's sum carries
+    /// over from one block's rows to the next's, in row order.
+    #[test]
+    fn bin_by_bin_root_matches_per_row_build_across_row_blocks() {
+        for n_rows in [
+            BLOCK_ROWS - 17,
+            BLOCK_ROWS,
+            BLOCK_ROWS + 17,
+            2 * BLOCK_ROWS + 17,
+        ] {
+            // Columns of 1, 5, 64 and 255 bins; gradients whose sums
+            // round, so the order of additions shows in the bits.
+            let feats: Vec<f32> = (0..n_rows)
+                .flat_map(|r| {
+                    let h = (r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                    [
+                        1.0,
+                        (r % 5) as f32,
+                        (h % 64) as f32,
+                        ((h >> 8) % 255) as f32,
+                    ]
+                })
+                .collect();
+            let grads: Vec<f64> = (0..n_rows)
+                .map(|r| ((r * 7919) % 1000) as f64 / 997.0 - 0.5)
+                .collect();
+            let hess: Vec<f64> = (0..n_rows)
+                .map(|r| ((r * 104_729) % 1000) as f64 / 4093.0 + 1e-3)
+                .collect();
+            let data = crate::BinnedDataset::fit(&feats, 4, 255);
+            assert_eq!(data.bin_rows()[0].n_blocks(), n_rows.div_ceil(BLOCK_ROWS));
+            let got = root_by_bins(&data, &grads, &hess);
+            assert_matches_per_row_build(&got, &data, &grads, &hess);
+        }
+    }
+
+    /// The split scan as it was before it stopped at the size bound: every
+    /// bin but the last, a gain computed wherever both sides hold
+    /// `min_data_in_leaf` rows, the first strictly greater gain above
+    /// `min_gain` kept.
+    fn reference_best_split(
+        hist: &FeatureHistogram,
+        feature: u32,
+        lambda: f64,
+        min_data_in_leaf: u32,
+        min_gain: f64,
+    ) -> Option<SplitCandidate> {
+        let totals = hist.totals();
+        let parent = leaf_score(totals.grad, totals.hess, lambda);
+        let mut left = BinStats::default();
+        let mut best: Option<SplitCandidate> = None;
+        for (b, stats) in hist.bins().iter().enumerate().take(hist.bins().len() - 1) {
+            left.grad += stats.grad;
+            left.hess += stats.hess;
+            left.count += stats.count;
+            let right_count = totals.count - left.count;
+            if left.count < min_data_in_leaf || right_count < min_data_in_leaf {
+                continue;
+            }
+            let right_grad = totals.grad - left.grad;
+            let right_hess = totals.hess - left.hess;
+            let gain = leaf_score(left.grad, left.hess, lambda)
+                + leaf_score(right_grad, right_hess, lambda)
+                - parent;
+            if gain > min_gain && best.is_none_or(|c| gain > c.gain) {
+                best = Some(SplitCandidate {
+                    feature,
+                    threshold_bin: b as u8,
+                    gain,
+                    left_count: left.count,
+                    right_count,
+                });
+            }
+        }
+        best
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -455,6 +750,71 @@ mod tests {
                         prop_assert_eq!(g.count, w.count);
                     }
                 }
+            }
+
+            /// The bounded scan against the full one. Integer gradients and
+            /// quarter hessians keep every sum exact; `mirror` appends the
+            /// bins reversed with negated gradients, so thresholds tie with
+            /// their reflections; `min_gain` is a quarter step, the best
+            /// gain itself (a tie at `min_gain`), or below every gain; and
+            /// `min_data_in_leaf` runs from 0 to above the leaf's rows.
+            #[test]
+            fn bounded_scan_matches_the_full_scan(
+                mut bins in proptest::collection::vec((0u32..12, -6i8..=6, 0u8..8), 1..=40),
+                (mirror, lambda_quarters, min_share) in (0u8..2, 0u8..8, 0u32..=110),
+                (gain_mode, min_gain_quarters) in (0u8..3, 0u8..12),
+            ) {
+                if mirror == 1 {
+                    let images: Vec<_> = bins.iter().rev().map(|&(n, g, h)| (n, -g, h)).collect();
+                    bins.extend(images);
+                }
+                let hist = FeatureHistogram {
+                    bins: bins
+                        .iter()
+                        .map(|&(count, g, h)| BinStats {
+                            grad: f64::from(g) * f64::from(count),
+                            hess: f64::from(h) / 4.0 * f64::from(count),
+                            count,
+                        })
+                        .collect(),
+                };
+                let total = hist.totals().count;
+                let min_data_in_leaf = total * min_share / 100 + u32::from(min_share > 100);
+                let lambda = f64::from(lambda_quarters) / 4.0;
+                let min_gain = match gain_mode {
+                    0 => f64::from(min_gain_quarters) / 4.0,
+                    1 => reference_best_split(&hist, 0, lambda, min_data_in_leaf, f64::NEG_INFINITY)
+                        .map_or(0.0, |s| s.gain),
+                    _ => -1e300,
+                };
+                let got = best_split(&hist, 5, lambda, min_data_in_leaf, min_gain);
+                let want = reference_best_split(&hist, 5, lambda, min_data_in_leaf, min_gain);
+                prop_assert_eq!(got.map(|s| s.gain.to_bits()), want.map(|s| s.gain.to_bits()));
+                prop_assert_eq!(got, want);
+            }
+
+            /// The bin-by-bin root pass against the per-feature reference
+            /// over every row, bit for bit: 1–9 features of 1–255 bins
+            /// (so the lanes refill across features and finish a tail),
+            /// 0–400 rows, written over garbage.
+            #[test]
+            fn bin_by_bin_root_matches_per_row_build_bitwise(
+                n_bins in proptest::collection::vec(1usize..=255, 1..=9),
+                raw in proptest::collection::vec(
+                    (proptest::collection::vec(0u16..=u16::MAX, 9), -1e3f64..1e3, 0.0f64..0.25),
+                    0..400,
+                ),
+            ) {
+                let n_features = n_bins.len();
+                let feats: Vec<f32> = raw
+                    .iter()
+                    .flat_map(|row| n_bins.iter().zip(&row.0).map(|(&n, &x)| f32::from(x % n as u16)))
+                    .collect();
+                let grads: Vec<f64> = raw.iter().map(|row| row.1).collect();
+                let hess: Vec<f64> = raw.iter().map(|row| row.2 + 1e-16).collect();
+                let data = crate::BinnedDataset::fit(&feats, n_features, 255);
+                let got = root_by_bins(&data, &grads, &hess);
+                assert_matches_per_row_build(&got, &data, &grads, &hess);
             }
         }
     }

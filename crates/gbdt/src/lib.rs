@@ -3,9 +3,12 @@
 //! A from-scratch, LightGBM-style GBDT implementing exactly what the
 //! LightMIRM paper's feature-extraction module needs:
 //!
-//! - **quantile binning** into ≤255 bins per feature ([`binning`]);
-//! - **leaf-wise (best-first) growth** with the histogram-subtraction
-//!   trick and L2-regularised second-order gain ([`grow`], [`histogram`]);
+//! - **quantile binning** into ≤255 bins per feature, by one radix sort
+//!   per column ([`binning`]);
+//! - **leaf-wise (best-first) growth** with L2-regularised second-order
+//!   gain ([`grow`], [`histogram`]): every tree's root is the whole
+//!   training set, its histograms summed bin by bin, and below it the
+//!   histogram-subtraction trick builds only the smaller child's;
 //! - **binary-logloss boosting** with shrinkage and validation-based early
 //!   stopping ([`boost`]);
 //! - the **GBDT+LR transform**: each tree maps a raw row to a leaf index;

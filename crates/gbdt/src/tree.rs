@@ -67,8 +67,8 @@ impl Tree {
     /// Route a raw feature row to its leaf; returns `(leaf index, value)`.
     ///
     /// This is the per-row reference that [`crate::Gbdt`]'s leaf transform
-    /// is tested against, and the value path of fitting (the bagged and
-    /// validation score updates).
+    /// is tested against, and the value path of fitting's validation
+    /// score updates.
     pub fn route(&self, row: &[f32]) -> (u32, f64) {
         self.route_with(row, |_| {})
     }
