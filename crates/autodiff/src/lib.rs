@@ -34,6 +34,8 @@
 //! assert_eq!(hv.value().len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod functional;
 pub mod tape;
 

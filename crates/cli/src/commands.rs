@@ -1488,14 +1488,18 @@ fn cmd_evaluate(args: &ParsedArgs, out: &mut dyn std::io::Write) -> Result<(), C
         return Err(CliError::Data("no 2020 rows to evaluate".into()));
     }
     let test = frame.select(&test_rows);
+    // Row by row: `score_batch` panics on the NaN features a CSV world
+    // can carry, while `score` routes a NaN right at every split.
+    let scores: Vec<f64> = (0..test.len())
+        .map(|r| bundle.score(test.row(r), test.province[r]))
+        .collect();
     let catalog = ProvinceCatalog::standard();
     let mut buckets: Vec<lightmirm_metrics::EnvScores> = catalog
         .names()
         .into_iter()
         .map(lightmirm_metrics::EnvScores::new)
         .collect();
-    for r in 0..test.len() {
-        let score = bundle.score(test.row(r), test.province[r]);
+    for (r, &score) in scores.iter().enumerate() {
         buckets[test.province[r] as usize].push(score, test.label[r]);
     }
     buckets.retain(|b| b.len() >= min_rows);
@@ -1518,10 +1522,6 @@ fn cmd_evaluate(args: &ParsedArgs, out: &mut dyn std::io::Write) -> Result<(), C
     )?;
 
     // Pooled decile lift table (the standard model-documentation view).
-    let mut scores = Vec::with_capacity(test.len());
-    for r in 0..test.len() {
-        scores.push(bundle.score(test.row(r), test.province[r]));
-    }
     if let Ok(table) = lift_table(&scores, &test.label, 10) {
         writeln!(out, "\ndecile lift (1 = riskiest):")?;
         for b in &table {
@@ -1583,15 +1583,8 @@ fn cmd_explain(args: &ParsedArgs, out: &mut dyn std::io::Write) -> Result<(), Cl
             frame.len()
         )));
     }
-    let head = match &bundle.model {
-        lightmirm_core::bundle::StoredModel::Global(m) => m.clone(),
-        lightmirm_core::bundle::StoredModel::PerEnv { base, per_env } => per_env
-            .get(frame.province[row] as usize)
-            .and_then(Option::as_ref)
-            .unwrap_or(base)
-            .clone(),
-    };
-    let ex = lightmirm_core::explain::explain_row(&bundle.extractor, &head, frame.row(row));
+    let head = bundle.model.head(frame.province[row]);
+    let ex = lightmirm_core::explain::explain_row(&bundle.extractor, head, frame.row(row));
     let schema = Schema::standard();
     let catalog = ProvinceCatalog::standard();
     writeln!(

@@ -25,6 +25,8 @@
 //! with `--shards N` (default 1 on the companion stream, 4 under
 //! `--loadgen-trace`). Scores are bit-identical for any shard count.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod commands;
 

@@ -100,6 +100,7 @@ fn parse_trace(path: &std::path::Path) -> Vec<serde_json::Value> {
                 v["thread"].as_u64().is_some(),
                 "trace event without thread: {line}"
             );
+            assert!(v["id"].as_u64().is_some(), "trace event without id: {line}");
             v
         })
         .collect()
@@ -159,19 +160,28 @@ fn train_metrics_out_emits_prometheus_text_and_trace_jsonl() {
     let names: Vec<&str> = events.iter().filter_map(|e| e["name"].as_str()).collect();
     assert!(names.contains(&"train_epoch"), "no train_epoch span");
     assert!(names.contains(&"inner_step"), "no inner_step span");
-    // Spans carry their duration and nesting depth.
-    let inner = events
+    // Every inner step — also one a parallel worker ran — is a child of
+    // a train_epoch span, one level below it.
+    let by_id: std::collections::HashMap<u64, &serde_json::Value> = events
         .iter()
-        .find(|e| e["name"] == "inner_step")
-        .expect("inner_step event");
-    assert!(
-        inner["dur_ns"].as_u64().is_some(),
-        "span without duration: {inner}"
-    );
-    assert!(
-        inner["depth"].as_u64().unwrap() >= 1,
-        "inner_step not nested"
-    );
+        .map(|e| (e["id"].as_u64().unwrap(), e))
+        .collect();
+    for inner in events.iter().filter(|e| e["name"] == "inner_step") {
+        assert!(
+            inner["dur_ns"].as_u64().is_some(),
+            "span without duration: {inner}"
+        );
+        let parent = inner["parent"]
+            .as_u64()
+            .and_then(|p| by_id.get(&p))
+            .unwrap_or_else(|| panic!("inner_step without a recorded parent: {inner}"));
+        assert_eq!(parent["name"], "train_epoch", "inner_step under {parent}");
+        assert_eq!(
+            inner["depth"].as_u64(),
+            parent["depth"].as_u64().map(|d| d + 1),
+            "inner_step depth under {parent}"
+        );
+    }
 }
 
 #[test]

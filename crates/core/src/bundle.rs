@@ -24,45 +24,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::failpoint;
 
-use crate::lr::LrModel;
 use crate::sparse::MultiHotMatrix;
 use crate::trainers::TrainedModel;
 
 /// Format version of the bundle layout.
 pub const BUNDLE_VERSION: u32 = 1;
-
-/// Serializable form of [`TrainedModel`].
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
-pub enum StoredModel {
-    /// One global LR head.
-    Global(LrModel),
-    /// Per-environment fine-tuned heads with a global fallback.
-    PerEnv {
-        base: LrModel,
-        per_env: Vec<Option<LrModel>>,
-    },
-}
-
-impl From<&TrainedModel> for StoredModel {
-    fn from(m: &TrainedModel) -> Self {
-        match m {
-            TrainedModel::Global(model) => StoredModel::Global(model.clone()),
-            TrainedModel::PerEnv { base, per_env } => StoredModel::PerEnv {
-                base: base.clone(),
-                per_env: per_env.clone(),
-            },
-        }
-    }
-}
-
-impl From<StoredModel> for TrainedModel {
-    fn from(m: StoredModel) -> Self {
-        match m {
-            StoredModel::Global(model) => TrainedModel::Global(model),
-            StoredModel::PerEnv { base, per_env } => TrainedModel::PerEnv { base, per_env },
-        }
-    }
-}
 
 /// Free-form provenance recorded with a bundle.
 #[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
@@ -267,7 +233,7 @@ pub struct ModelBundle {
     /// The GBDT feature extractor (raw features → leaf indices).
     pub extractor: Gbdt,
     /// The trained LR head over the leaf space.
-    pub model: StoredModel,
+    pub model: TrainedModel,
     /// Provenance.
     pub metadata: BundleMetadata,
     /// Train-time drift baseline for the serve-side sentinel. `None` on
@@ -417,27 +383,42 @@ pub struct QuarantinedScores {
     pub quarantined: Vec<RowQuarantine>,
 }
 
+/// Every head — the base and each per-environment copy — must span the
+/// extractor's leaf space, or scoring its environment would panic.
+fn check_head_widths(leaves: usize, model: &TrainedModel) -> Result<(), BundleError> {
+    let (base, per_env) = match model {
+        TrainedModel::Global(m) => (m, &[][..]),
+        TrainedModel::PerEnv { base, per_env } => (base, per_env.as_slice()),
+    };
+    for head in std::iter::once(base).chain(per_env.iter().flatten()) {
+        if head.weights.len() != leaves {
+            return Err(BundleError::DimensionMismatch {
+                leaves,
+                weights: head.weights.len(),
+            });
+        }
+    }
+    Ok(())
+}
+
 impl ModelBundle {
     /// Assemble a bundle.
     ///
     /// # Errors
     ///
-    /// Returns [`BundleError::DimensionMismatch`] when the head's weight
-    /// vector does not match the extractor's leaf count.
+    /// Returns [`BundleError::DimensionMismatch`] when a head's weight
+    /// vector — the base's or any per-environment copy's — does not match
+    /// the extractor's leaf count.
     pub fn new(
         extractor: Gbdt,
         model: &TrainedModel,
         metadata: BundleMetadata,
     ) -> Result<Self, BundleError> {
-        let leaves = extractor.total_leaves();
-        let weights = model.global().weights.len();
-        if leaves != weights {
-            return Err(BundleError::DimensionMismatch { leaves, weights });
-        }
+        check_head_widths(extractor.total_leaves(), model)?;
         Ok(ModelBundle {
             version: BUNDLE_VERSION,
             extractor,
-            model: StoredModel::from(model),
+            model: model.clone(),
             metadata,
             baseline: None,
             lineage: None,
@@ -483,14 +464,7 @@ impl ModelBundle {
                 supported: BUNDLE_VERSION,
             });
         }
-        let leaves = bundle.extractor.total_leaves();
-        let weights = match &bundle.model {
-            StoredModel::Global(m) => m.weights.len(),
-            StoredModel::PerEnv { base, .. } => base.weights.len(),
-        };
-        if leaves != weights {
-            return Err(BundleError::DimensionMismatch { leaves, weights });
-        }
+        check_head_widths(bundle.extractor.total_leaves(), &bundle.model)?;
         Ok(bundle)
     }
 
@@ -546,11 +520,11 @@ impl ModelBundle {
         .expect("extractor produces well-formed leaf indices");
         let mut out = vec![0.0; n];
         match &self.model {
-            StoredModel::Global(m) => {
+            TrainedModel::Global(m) => {
                 let rows: Vec<u32> = (0..n as u32).collect();
                 crate::kernels::predict_rows_into(&m.weights, &x, &rows, &mut out);
             }
-            StoredModel::PerEnv { base, per_env } => {
+            TrainedModel::PerEnv { .. } => {
                 // Group the batch rows by head so each head runs one
                 // batched kernel call over its rows.
                 let mut by_env: std::collections::BTreeMap<u16, Vec<u32>> =
@@ -559,11 +533,8 @@ impl ModelBundle {
                     by_env.entry(e).or_default().push(k as u32);
                 }
                 let mut scores = Vec::new();
-                for (e, rows) in &by_env {
-                    let head = per_env
-                        .get(*e as usize)
-                        .and_then(Option::as_ref)
-                        .unwrap_or(base);
+                for (&e, rows) in &by_env {
+                    let head = self.model.head(e);
                     scores.resize(rows.len(), 0.0);
                     crate::kernels::predict_rows_into(&head.weights, &x, rows, &mut scores);
                     for (&r, &s) in rows.iter().zip(&scores) {
@@ -795,13 +766,7 @@ impl ModelBundle {
     pub fn score(&self, raw_row: &[f32], env_id: u16) -> f64 {
         let mut leaf_buf = Vec::new();
         self.extractor.transform_row(raw_row, &mut leaf_buf);
-        let head = match &self.model {
-            StoredModel::Global(m) => m,
-            StoredModel::PerEnv { base, per_env } => per_env
-                .get(env_id as usize)
-                .and_then(Option::as_ref)
-                .unwrap_or(base),
-        };
+        let head = self.model.head(env_id);
         let z: f64 = leaf_buf.iter().map(|&i| head.weights[i as usize]).sum();
         crate::lr::sigmoid(z)
     }
@@ -810,6 +775,7 @@ impl ModelBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lr::LrModel;
     use lightmirm_gbdt::{GbdtConfig, GrowConfig};
 
     fn demo_parts() -> (Gbdt, Vec<f32>, Vec<u8>) {
@@ -835,7 +801,6 @@ mod tests {
                     lambda_l2: 1.0,
                     min_gain: 1e-6,
                 },
-                ..Default::default()
             },
         )
         .expect("toy fits");

@@ -146,7 +146,6 @@ mod tests {
                     lambda_l2: 1.0,
                     min_gain: 1e-6,
                 },
-                ..Default::default()
             },
         )
         .expect("fits");

@@ -6,8 +6,9 @@
 //!   shard routes and failpoint schedules all run their own pre-mixing
 //!   (a golden-ratio-strided counter, a seed XOR) through it.
 //! - [`fnv1a`] / [`fnv1a_extend`] are 64-bit FNV-1a, used where a short
-//!   byte string (a metric or failpoint-site name) or a byte stream (the
-//!   loadgen score digest) needs a stable fingerprint.
+//!   byte string (a failpoint-site name) or a byte stream (the loadgen
+//!   score digest, the pinned default-GBDT digest) needs a stable
+//!   fingerprint.
 //!
 //! Both are part of persisted contracts — routes, request ids and score
 //! digests must not change across releases — so their constants live

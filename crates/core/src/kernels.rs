@@ -27,12 +27,11 @@
 //!    depends only on the data, never on the parallel schedule, and the
 //!    output is bit-identical for any thread count (including 1);
 //! 4. A [`ScratchPool`] of per-environment buffers (`θ̄`, gradient, `u`,
-//!    HVP, logit cache) — all 64-byte-aligned [`AlignedVec`]s — so the
-//!    env-parallel trainers allocate once per `fit` instead of once per
-//!    epoch.
+//!    HVP, logit cache), so the env-parallel trainers allocate once per
+//!    `fit` instead of once per epoch.
 
 use crate::lr::sigmoid;
-use crate::simd::{sigmoid_softplus, AlignedVec, BLOCK_ROWS};
+use crate::simd::{sigmoid_softplus, BLOCK_ROWS};
 use crate::sparse::MultiHotMatrix;
 use rayon::prelude::*;
 
@@ -174,10 +173,10 @@ pub fn env_loss_grad(
         let total = fused_chunk(theta, x, labels, rows, inv_n, grad_out, None);
         finish_loss_grad(total, rows.len(), theta, reg, grad_out)
     } else {
-        let partials: Vec<(f64, AlignedVec)> = rows
+        let partials: Vec<(f64, Vec<f64>)> = rows
             .par_chunks(CHUNK_ROWS)
             .map(|chunk| {
-                let mut g = AlignedVec::zeroed(theta.len());
+                let mut g = vec![0.0; theta.len()];
                 let s = fused_chunk(theta, x, labels, chunk, inv_n, &mut g, None);
                 (s, g)
             })
@@ -227,11 +226,11 @@ pub fn env_loss_grad_cached(
         let total = fused_chunk(theta, x, labels, rows, inv_n, grad_out, Some(logits_out));
         finish_loss_grad(total, rows.len(), theta, reg, grad_out)
     } else {
-        let partials: Vec<(f64, AlignedVec)> = rows
+        let partials: Vec<(f64, Vec<f64>)> = rows
             .par_chunks(CHUNK_ROWS)
             .zip(logits_out.par_chunks_mut(CHUNK_ROWS))
             .map(|(chunk, lchunk)| {
-                let mut g = AlignedVec::zeroed(theta.len());
+                let mut g = vec![0.0; theta.len()];
                 let s = fused_chunk(theta, x, labels, chunk, inv_n, &mut g, Some(lchunk));
                 (s, g)
             })
@@ -248,7 +247,7 @@ pub fn env_loss_grad_cached(
 }
 
 /// Ordered merge of chunk partials: chunk order, not completion order.
-fn merge_partials(partials: Vec<(f64, AlignedVec)>, out: &mut [f64]) -> f64 {
+fn merge_partials(partials: Vec<(f64, Vec<f64>)>, out: &mut [f64]) -> f64 {
     let mut total = 0.0;
     for (s, g) in &partials {
         total += s;
@@ -337,10 +336,10 @@ pub fn env_grad(
     if rows.len() <= CHUNK_ROWS {
         grad_chunk(rows, out);
     } else {
-        let partials: Vec<AlignedVec> = rows
+        let partials: Vec<Vec<f64>> = rows
             .par_chunks(CHUNK_ROWS)
             .map(|chunk| {
-                let mut g = AlignedVec::zeroed(theta.len());
+                let mut g = vec![0.0; theta.len()];
                 grad_chunk(chunk, &mut g);
                 g
             })
@@ -410,11 +409,11 @@ pub fn hvp_from_logits(
     if rows.len() <= CHUNK_ROWS {
         hvp_chunk(rows, logits, out);
     } else {
-        let partials: Vec<AlignedVec> = rows
+        let partials: Vec<Vec<f64>> = rows
             .par_chunks(CHUNK_ROWS)
             .zip(logits.par_chunks(CHUNK_ROWS))
             .map(|(chunk, lchunk)| {
-                let mut h = AlignedVec::zeroed(v.len());
+                let mut h = vec![0.0; v.len()];
                 hvp_chunk(chunk, lchunk, &mut h);
                 h
             })
@@ -467,24 +466,21 @@ pub fn predict_rows(theta: &[f64], x: &MultiHotMatrix, rows: &[u32]) -> Vec<f64>
 
 /// Per-environment scratch buffers for the meta trainers: the inner-step
 /// model `θ̄_m`, a gradient buffer, the meta-gradient `u`, an HVP buffer,
-/// and the logit cache of the environment's rows. All buffers are
-/// 64-byte-aligned [`AlignedVec`]s so the vectorized kernels' loads and
-/// stores never split cache lines; they deref to `[f64]`, so call sites
-/// are unchanged.
+/// and the logit cache of the environment's rows.
 #[derive(Debug, Clone)]
 pub struct EnvScratch {
     /// Inner-step parameters `θ̄_m = θ − α∇R^m(θ)`.
-    pub theta_bar: AlignedVec,
+    pub theta_bar: Vec<f64>,
     /// General-purpose gradient buffer (inner gradient, then reusable).
-    pub grad: AlignedVec,
+    pub grad: Vec<f64>,
     /// Meta-gradient `u = ∇_{θ̄} R_meta(θ̄_m)`, adjusted in place by the
     /// HVP chain term.
-    pub u: AlignedVec,
+    pub u: Vec<f64>,
     /// Hessian-vector product buffer.
-    pub hvp: AlignedVec,
+    pub hvp: Vec<f64>,
     /// `θᵀx` of every row of environment `m`, filled by the inner fused
     /// pass and reused by the outer HVP at the same `θ`.
-    pub logits: AlignedVec,
+    pub logits: Vec<f64>,
 }
 
 /// One [`EnvScratch`] per environment, allocated once per `fit` and
@@ -508,11 +504,11 @@ impl ScratchPool {
             slots: rows_per_env
                 .iter()
                 .map(|&n| EnvScratch {
-                    theta_bar: AlignedVec::zeroed(n_cols),
-                    grad: AlignedVec::zeroed(n_cols),
-                    u: AlignedVec::zeroed(n_cols),
-                    hvp: AlignedVec::zeroed(n_cols),
-                    logits: AlignedVec::zeroed(n),
+                    theta_bar: vec![0.0; n_cols],
+                    grad: vec![0.0; n_cols],
+                    u: vec![0.0; n_cols],
+                    hvp: vec![0.0; n_cols],
+                    logits: vec![0.0; n],
                 })
                 .collect(),
         }
@@ -684,22 +680,6 @@ mod tests {
         assert_eq!(pool.slots()[2].logits.len(), 77);
         assert_eq!(pool.slots()[1].theta_bar.len(), 8);
         assert_eq!(pool.slots()[1].hvp.len(), 8);
-    }
-
-    #[test]
-    fn scratch_pool_buffers_are_aligned() {
-        let pool = ScratchPool::new(33, &[100, 7]);
-        for slot in pool.slots() {
-            for buf in [
-                &slot.theta_bar,
-                &slot.grad,
-                &slot.u,
-                &slot.hvp,
-                &slot.logits,
-            ] {
-                assert_eq!(buf.as_slice().as_ptr() as usize % crate::simd::ALIGNMENT, 0);
-            }
-        }
     }
 
     #[test]

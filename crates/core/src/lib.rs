@@ -8,9 +8,8 @@
 //! - **fused, parallel kernels** over that matrix ([`kernels`]): a
 //!   single-pass loss+gradient, a logit-caching HVP, and fixed-chunk
 //!   ordered reductions that keep results bit-identical for any thread
-//!   count, executed by vectorized row-block inner loops over 64-byte
-//!   aligned scratch ([`simd`]) that stay bit-identical to the serial
-//!   [`lr`] kernels on a single chunk;
+//!   count, executed by vectorized row-block inner loops ([`simd`]) that
+//!   stay bit-identical to the serial [`lr`] kernels on a single chunk;
 //! - **environment-partitioned datasets** ([`mod@env`]);
 //! - the **trainers** of the paper's evaluation ([`trainers`]): ERM,
 //!   ERM + per-province fine-tuning, environment up-sampling, Group DRO,
@@ -50,6 +49,8 @@
 //! assert!(summary.m_auc > 0.5);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod batch;
 pub mod bundle;
 pub mod env;
@@ -75,7 +76,7 @@ pub mod prelude {
     pub use crate::batch::Batcher;
     pub use crate::bundle::{
         BundleError, BundleMetadata, ModelBundle, QuarantineFallback, QuarantinePolicy,
-        QuarantinedScores, RowQuarantine, StoredModel, ValueFault,
+        QuarantinedScores, RowQuarantine, ValueFault,
     };
     pub use crate::env::EnvDataset;
     pub use crate::eval::{evaluate, evaluate_filtered, score_rows};
@@ -93,7 +94,7 @@ pub mod prelude {
     };
     pub use crate::pipeline::{FeatureExtractor, FeatureExtractorConfig, PipelineError};
     pub use crate::sem::SemSpec;
-    pub use crate::simd::{AlignedVec, ALIGNMENT, BLOCK_ROWS};
+    pub use crate::simd::BLOCK_ROWS;
     pub use crate::sparse::MultiHotMatrix;
     pub use crate::timing::{Histogram, OpCounter, Step, StepTimer};
     pub use crate::trainers::{

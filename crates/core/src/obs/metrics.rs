@@ -1,13 +1,11 @@
-//! Lock-sharded metrics registry with static handles.
+//! Metrics registry with static handles.
 //!
-//! The registry is a name → metric map split across 16 shards, each
-//! behind its own mutex; the shard is picked by an FNV-1a hash of the
-//! metric *name* so lookups for different metrics rarely contend.
-//! Lookups are not the hot path anyway: call sites resolve a
+//! The registry is one key → metric map behind one mutex. Lookups are
+//! not the hot path: call sites resolve a
 //! [`Counter`]/[`Gauge`]/[`HistogramHandle`] **once** (at trainer or
 //! engine construction) and then record through the handle — an atomic
 //! add for counters/gauges, an uncontended mutex around a fixed-size
-//! [`Histogram`] for distributions. Handles stay live after a
+//! [`Histogram`] for distributions — without touching the registry. Handles stay live after a
 //! [`MetricsRegistry::reset`]; they just no longer appear in snapshots.
 //!
 //! Snapshots ([`MetricsSnapshot`]) are plain data, sorted by
@@ -20,8 +18,6 @@ use crate::timing::Histogram;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-const SHARDS: usize = 16;
 
 /// A metric's identity: name plus sorted label pairs.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -287,11 +283,6 @@ impl MetricsSnapshot {
             .map(|i| &self.metrics[i].value)
     }
 
-    /// All entries sharing `name` (any labels), in label order.
-    pub fn get_all(&self, name: &str) -> Vec<&MetricEntry> {
-        self.metrics.iter().filter(|e| e.key.name == name).collect()
-    }
-
     /// Merge another snapshot: counters add, histograms bucket-merge,
     /// gauges take `other`'s value; keys only in `other` are inserted.
     ///
@@ -322,29 +313,20 @@ impl MetricsSnapshot {
     }
 }
 
-/// The lock-sharded registry. See the module docs for the design.
+/// The registry. See the module docs for the design.
+#[derive(Default)]
 pub struct MetricsRegistry {
-    shards: [Mutex<BTreeMap<MetricKey, Metric>>; SHARDS],
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
+    metrics: Mutex<BTreeMap<MetricKey, Metric>>,
 }
 
 impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
-        MetricsRegistry {
-            shards: std::array::from_fn(|_| Mutex::new(BTreeMap::new())),
-        }
+        Self::default()
     }
 
-    fn shard(&self, name: &str) -> MutexGuard<'_, BTreeMap<MetricKey, Metric>> {
-        // FNV-1a over the metric name picks the shard.
-        let idx = (crate::hash::fnv1a(name.as_bytes()) % SHARDS as u64) as usize;
-        self.shards[idx]
+    fn map(&self) -> MutexGuard<'_, BTreeMap<MetricKey, Metric>> {
+        self.metrics
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
@@ -356,15 +338,7 @@ impl MetricsRegistry {
     ///
     /// When the key is already registered with a different kind.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        let key = MetricKey::new(name, labels);
-        let mut shard = self.shard(name);
-        let metric = shard
-            .entry(key.clone())
-            .or_insert_with(|| Metric::Counter(Counter::detached()));
-        match metric {
-            Metric::Counter(c) => c.clone(),
-            other => panic!("metric {key:?} already registered as {}", other.kind()),
-        }
+        self.counter_keyed(&MetricKey::new(name, labels))
     }
 
     /// Resolve (or register) a gauge.
@@ -373,15 +347,7 @@ impl MetricsRegistry {
     ///
     /// When the key is already registered with a different kind.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        let key = MetricKey::new(name, labels);
-        let mut shard = self.shard(name);
-        let metric = shard
-            .entry(key.clone())
-            .or_insert_with(|| Metric::Gauge(Gauge::detached()));
-        match metric {
-            Metric::Gauge(g) => g.clone(),
-            other => panic!("metric {key:?} already registered as {}", other.kind()),
-        }
+        self.gauge_keyed(&MetricKey::new(name, labels))
     }
 
     /// Resolve (or register) a histogram.
@@ -390,32 +356,19 @@ impl MetricsRegistry {
     ///
     /// When the key is already registered with a different kind.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> HistogramHandle {
-        let key = MetricKey::new(name, labels);
-        let mut shard = self.shard(name);
-        let metric = shard
-            .entry(key.clone())
-            .or_insert_with(|| Metric::Histogram(HistogramHandle::detached()));
-        match metric {
-            Metric::Histogram(h) => h.clone(),
-            other => panic!("metric {key:?} already registered as {}", other.kind()),
-        }
+        self.histogram_keyed(&MetricKey::new(name, labels))
     }
 
     /// Snapshot every registered metric, sorted by key.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut metrics = Vec::new();
-        for shard in &self.shards {
-            let shard = shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for (key, metric) in shard.iter() {
-                metrics.push(MetricEntry {
-                    key: key.clone(),
-                    value: metric.value(),
-                });
-            }
-        }
-        metrics.sort_by(|a, b| a.key.cmp(&b.key));
+        let metrics = self
+            .map()
+            .iter()
+            .map(|(key, metric)| MetricEntry {
+                key: key.clone(),
+                value: metric.value(),
+            })
+            .collect();
         MetricsSnapshot { metrics }
     }
 
@@ -444,8 +397,8 @@ impl MetricsRegistry {
     }
 
     fn counter_keyed(&self, key: &MetricKey) -> Counter {
-        let mut shard = self.shard(&key.name);
-        match shard
+        match self
+            .map()
             .entry(key.clone())
             .or_insert_with(|| Metric::Counter(Counter::detached()))
         {
@@ -455,8 +408,8 @@ impl MetricsRegistry {
     }
 
     fn gauge_keyed(&self, key: &MetricKey) -> Gauge {
-        let mut shard = self.shard(&key.name);
-        match shard
+        match self
+            .map()
             .entry(key.clone())
             .or_insert_with(|| Metric::Gauge(Gauge::detached()))
         {
@@ -466,8 +419,8 @@ impl MetricsRegistry {
     }
 
     fn histogram_keyed(&self, key: &MetricKey) -> HistogramHandle {
-        let mut shard = self.shard(&key.name);
-        match shard
+        match self
+            .map()
             .entry(key.clone())
             .or_insert_with(|| Metric::Histogram(HistogramHandle::detached()))
         {
@@ -480,12 +433,7 @@ impl MetricsRegistry {
     /// are no longer reachable from snapshots — used by tests and by the
     /// CLI between commands in one process.
     pub fn reset(&self) {
-        for shard in &self.shards {
-            shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clear();
-        }
+        self.map().clear();
     }
 }
 

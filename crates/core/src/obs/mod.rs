@@ -2,11 +2,12 @@
 //!
 //! Three pieces:
 //!
-//! - [`metrics`]: a lock-sharded [`MetricsRegistry`] of counters, gauges
-//!   and [`crate::timing::Histogram`]s, read out as sorted, mergeable
+//! - [`metrics`]: a [`MetricsRegistry`] of counters, gauges and
+//!   [`crate::timing::Histogram`]s, read out as sorted, mergeable
 //!   [`MetricsSnapshot`]s;
 //! - [`trace`]: `span!`/`event!` macros feeding a bounded ring buffer
-//!   and pluggable sinks (JSON-lines file, stderr pretty-printer, no-op);
+//!   and pluggable sinks (JSON-lines file, no-op); every span records
+//!   its parent's id, also across parallel workers;
 //! - [`export`]: Prometheus-text and JSON renderers for snapshots.
 //!
 //! Two ops-facing layers sit on top:
@@ -68,7 +69,7 @@ pub use metrics::{
 pub use profile::{escape_frame, Profile, ProfileEdge, SiteProfile, StackPath};
 pub use request::{RequestTrace, TailSampler, N_STAGES, STAGE_NAMES};
 pub use slo::{BurnEntry, Objective, ObjectiveKind, SloSpec, SloWindow};
-pub use trace::{JsonLinesSink, NoopSink, SpanGuard, StderrPrettySink, TraceEvent, TraceSink};
+pub use trace::{JsonLinesSink, NoopSink, SpanCtx, SpanGuard, TraceEvent, TraceSink};
 
 use std::sync::OnceLock;
 

@@ -7,18 +7,17 @@
 //! flamegraph-collapsed stack lines (`a;b;c <self_us>`, one per stack
 //! path) that feed straight into `inferno`/`flamegraph.pl`/speedscope.
 //!
-//! Reconstruction exploits how spans record: a span is recorded when it
-//! *closes*, carrying its own depth on the recording thread, and
-//! children close before their parent. So, scanning one thread's records
-//! in sequence order, a closing span at depth `d` is the parent of every
-//! not-yet-adopted closed span at depth `d + 1` seen so far — no span
-//! ids needed. Spans whose parents never closed inside the ring window
-//! (truncation, still-open spans) are kept as roots.
+//! Every span records its own id and its parent's, so the call forest is
+//! linked by id, across threads: an `inner_step` a parallel worker ran
+//! is a child of the `train_epoch` that launched it. Spans whose parents
+//! never closed inside the ring window (truncation, still-open spans)
+//! are kept as roots. Children that ran in parallel can add up past
+//! their parent's wall time; the parent's self time then reads 0.
 
 use super::trace::{EventKind, TraceEvent};
 use crate::timing::Histogram;
 use serde::Serialize;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Aggregated statistics for one `span!` site (by name).
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -105,6 +104,7 @@ pub fn escape_frame(name: &str) -> String {
 struct Node {
     name: String,
     dur_ns: u64,
+    parent: Option<u64>,
     children: Vec<usize>,
 }
 
@@ -119,13 +119,11 @@ struct SiteAcc {
 
 impl Profile {
     /// Aggregate a slice of trace records (e.g. a
-    /// [`ring_snapshot`](crate::obs::trace::Tracer::ring_snapshot)),
-    /// assumed ordered by `seq` as the ring provides.
+    /// [`ring_snapshot`](crate::obs::trace::Tracer::ring_snapshot)), in
+    /// any order.
     pub fn build(records: &[TraceEvent]) -> Profile {
         let mut nodes: Vec<Node> = Vec::new();
-        // Per-thread completed subtree roots awaiting a parent:
-        // (depth, node index), in record order.
-        let mut pending: BTreeMap<u64, Vec<(u32, usize)>> = BTreeMap::new();
+        let mut by_id: HashMap<u64, usize> = HashMap::new();
         let mut event_counts: BTreeMap<String, u64> = BTreeMap::new();
 
         for ev in records {
@@ -133,26 +131,20 @@ impl Profile {
                 *event_counts.entry(ev.name.clone()).or_insert(0) += 1;
                 continue;
             }
-            let slot = pending.entry(ev.thread).or_default();
-            // Adopt every completed subtree one level deeper: children
-            // close before their parent, so anything still pending at
-            // depth+1 on this thread belongs to this span.
-            let mut children = Vec::new();
-            slot.retain(|&(d, idx)| {
-                if d == ev.depth + 1 {
-                    children.push(idx);
-                    false
-                } else {
-                    true
-                }
-            });
-            let idx = nodes.len();
+            by_id.insert(ev.id, nodes.len());
             nodes.push(Node {
                 name: ev.name.clone(),
                 dur_ns: ev.dur_ns,
-                children,
+                parent: ev.parent,
+                children: Vec::new(),
             });
-            slot.push((ev.depth, idx));
+        }
+        let mut roots = Vec::new();
+        for idx in 0..nodes.len() {
+            match nodes[idx].parent.and_then(|p| by_id.get(&p)) {
+                Some(&p) => nodes[p].children.push(idx),
+                None => roots.push(idx),
+            }
         }
 
         // Per-site accumulation.
@@ -175,12 +167,7 @@ impl Profile {
             }
         }
 
-        // Collapsed stacks: depth-first from the leftover roots (any
-        // pending entry whose parent never closed is a root).
-        let roots: Vec<usize> = pending
-            .values()
-            .flat_map(|v| v.iter().map(|&(_, idx)| idx))
-            .collect();
+        // Collapsed stacks: depth-first from the roots.
         let mut paths: BTreeMap<String, u64> = BTreeMap::new();
         let mut stack: Vec<(usize, String)> = roots
             .iter()
@@ -272,11 +259,22 @@ impl Profile {
 mod tests {
     use super::*;
 
-    fn span(seq: u64, thread: u64, depth: u32, name: &str, dur_ns: u64) -> TraceEvent {
+    /// A span record. `Profile::build` links by id and never reads
+    /// `depth`, so it is left at 0.
+    fn span(
+        seq: u64,
+        thread: u64,
+        id: u64,
+        parent: Option<u64>,
+        name: &str,
+        dur_ns: u64,
+    ) -> TraceEvent {
         TraceEvent {
             seq,
+            id,
+            parent,
             thread,
-            depth,
+            depth: 0,
             kind: EventKind::Span,
             name: name.to_string(),
             fields: vec![],
@@ -284,9 +282,11 @@ mod tests {
         }
     }
 
-    fn instant(seq: u64, thread: u64, name: &str) -> TraceEvent {
+    fn instant(seq: u64, thread: u64, id: u64, name: &str) -> TraceEvent {
         TraceEvent {
             seq,
+            id,
+            parent: None,
             thread,
             depth: 0,
             kind: EventKind::Event,
@@ -299,11 +299,11 @@ mod tests {
     /// Two `outer` calls, each with one `inner` child, plus an instant.
     fn demo_ring() -> Vec<TraceEvent> {
         vec![
-            span(0, 0, 1, "inner", 300),
-            span(1, 0, 0, "outer", 1_000),
-            instant(2, 0, "tick"),
-            span(3, 0, 1, "inner", 500),
-            span(4, 0, 0, "outer", 2_000),
+            span(0, 0, 1, Some(0), "inner", 300),
+            span(1, 0, 0, None, "outer", 1_000),
+            instant(2, 0, 2, "tick"),
+            span(3, 0, 4, Some(3), "inner", 500),
+            span(4, 0, 3, None, "outer", 2_000),
         ]
     }
 
@@ -344,7 +344,7 @@ mod tests {
         let total_self: u64 = p.sites.iter().map(|s| s.self_ns).sum();
         let total_root: u64 = ring
             .iter()
-            .filter(|e| e.kind == EventKind::Span && e.depth == 0)
+            .filter(|e| e.kind == EventKind::Span && e.parent.is_none())
             .map(|e| e.dur_ns)
             .sum();
         assert_eq!(total_self, total_root);
@@ -354,10 +354,10 @@ mod tests {
     fn threads_are_reconstructed_independently() {
         // Identical shapes on two threads, interleaved in seq order.
         let ring = vec![
-            span(0, 0, 1, "inner", 100_000),
-            span(1, 1, 1, "inner", 200_000),
-            span(2, 1, 0, "outer", 1_000_000),
-            span(3, 0, 0, "outer", 1_000_000),
+            span(0, 0, 1, Some(0), "inner", 100_000),
+            span(1, 1, 3, Some(2), "inner", 200_000),
+            span(2, 1, 2, None, "outer", 1_000_000),
+            span(3, 0, 0, None, "outer", 1_000_000),
         ];
         let p = Profile::build(&ring);
         let edge = &p.edges[0];
@@ -369,9 +369,28 @@ mod tests {
     }
 
     #[test]
+    fn children_on_worker_threads_link_to_their_parent() {
+        // One epoch on thread 0 whose two inner steps ran on threads 1
+        // and 2 at once: both are its children, and their summed time
+        // (past the epoch's wall time) leaves it no self time.
+        let ring = vec![
+            span(0, 2, 11, Some(10), "inner", 700),
+            span(1, 1, 12, Some(10), "inner", 600),
+            span(2, 0, 10, None, "epoch", 1_000),
+        ];
+        let p = Profile::build(&ring);
+        assert_eq!(p.edges.len(), 1);
+        assert_eq!((p.edges[0].count, p.edges[0].total_ns), (2, 1_300));
+        let epoch = p.sites.iter().find(|s| s.name == "epoch").unwrap();
+        assert_eq!(epoch.self_ns, 0);
+        let paths: Vec<&str> = p.paths.iter().map(|s| s.path.as_str()).collect();
+        assert_eq!(paths, ["epoch", "epoch;inner"]);
+    }
+
+    #[test]
     fn orphans_survive_ring_truncation_as_roots() {
         // The parent's close fell off the ring: the child is a root.
-        let ring = vec![span(0, 0, 3, "deep", 400)];
+        let ring = vec![span(0, 0, 3, Some(2), "deep", 400)];
         let p = Profile::build(&ring);
         assert_eq!(p.paths.len(), 1);
         assert_eq!(p.paths[0].path, "deep");
@@ -404,8 +423,8 @@ mod tests {
         // format: ';' (frame separator) and whitespace (count
         // separator), at both depths.
         let ring = vec![
-            span(0, 0, 1, "inner;evil frame\tname", 300),
-            span(1, 0, 0, "outer; rm -rf", 1_000),
+            span(0, 0, 1, Some(0), "inner;evil frame\tname", 300),
+            span(1, 0, 0, None, "outer; rm -rf", 1_000),
         ];
         let p = Profile::build(&ring);
         let text = p.to_collapsed();

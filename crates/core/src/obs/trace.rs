@@ -2,19 +2,27 @@
 //!
 //! A *span* brackets a region of work: `let _s = span!("inner_step",
 //! env = m);` opens it and the guard's drop closes it, recording one
-//! [`TraceEvent`] carrying the span's duration, the recording thread's
-//! ordinal, and its nesting depth on that thread. An *event* is an
+//! [`TraceEvent`] carrying the span's id, its parent's id, its depth,
+//! its duration and the recording thread's ordinal. An *event* is an
 //! instant point (`event!("mrq_hit", env = m)`). Both are no-ops —
 //! the macro bodies constant-fold away — unless the `obs` cargo
 //! feature is on.
 //!
+//! A span's parent is the span open on its thread, so a span opened on
+//! a parallel worker would lose the span that launched the work. Such
+//! call sites take the launching thread's [`SpanCtx`] with [`current`]
+//! before the parallel region and open their spans under it:
+//! `span!(parent: ctx, "inner_step", env = m)`. The worker's span then
+//! records that parent and the parent's depth plus one.
+//!
 //! Events land in a bounded in-memory ring (the flight recorder, newest
 //! ~64k events) and are fanned out to any attached [`TraceSink`]s:
-//! a JSON-lines file writer, a stderr pretty-printer, or a no-op.
-//! Durations and thread ordinals are observability data only — nothing
-//! in the traced code paths reads them back, which is what keeps
-//! tracing deterministic-safe.
+//! a JSON-lines file writer or a no-op. Ids, durations and thread
+//! ordinals are observability data only — nothing in the traced code
+//! paths reads them back, which is what keeps tracing
+//! deterministic-safe.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -39,10 +47,15 @@ pub struct TraceEvent {
     /// Global record sequence number (assignment order, not span-open
     /// order — spans are recorded when they *close*).
     pub seq: u64,
+    /// Record id, unique in the process: a span's is drawn when it
+    /// opens, an instant event's when it is recorded.
+    pub id: u64,
+    /// Id of the enclosing span, or `None` at the top level.
+    pub parent: Option<u64>,
     /// Ordinal of the recording thread (0, 1, 2… in first-record order).
     pub thread: u64,
-    /// Span nesting depth on the recording thread when this record was
-    /// made (a span's own depth, i.e. 0 for a top-level span).
+    /// Nesting depth: 0 at the top level, the parent's depth plus one
+    /// under a parent.
     pub depth: u32,
     /// Span or instant event.
     pub kind: EventKind,
@@ -109,41 +122,10 @@ impl TraceSink for JsonLinesSink {
     }
 }
 
-/// Pretty-prints events to stderr, indented by nesting depth.
-pub struct StderrPrettySink;
-
-impl TraceSink for StderrPrettySink {
-    fn on_event(&self, event: &TraceEvent) {
-        let indent = "  ".repeat(event.depth as usize);
-        let fields: Vec<String> = event
-            .fields
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
-        let fields = if fields.is_empty() {
-            String::new()
-        } else {
-            format!(" [{}]", fields.join(" "))
-        };
-        match event.kind {
-            EventKind::Span => eprintln!(
-                "[trace t{} #{:>6}] {indent}{} {:.3}ms{fields}",
-                event.thread,
-                event.seq,
-                event.name,
-                event.dur_ns as f64 / 1e6
-            ),
-            EventKind::Event => eprintln!(
-                "[trace t{} #{:>6}] {indent}• {}{fields}",
-                event.thread, event.seq, event.name
-            ),
-        }
-    }
-}
-
 /// The global trace recorder: sequence counter, bounded ring, sinks.
 pub struct Tracer {
     seq: AtomicU64,
+    next_id: AtomicU64,
     next_thread: AtomicU64,
     next_sink_id: AtomicU64,
     has_sink: AtomicBool,
@@ -151,9 +133,34 @@ pub struct Tracer {
     sinks: Mutex<Vec<(u64, Arc<dyn TraceSink>)>>,
 }
 
+/// Where a new span attaches: the enclosing span, if any, and the depth
+/// a span opened there records. Copy it across threads to keep a
+/// worker's spans under the span that launched the work.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpanCtx {
+    parent: Option<u64>,
+    depth: u32,
+}
+
 thread_local! {
-    static THREAD_ORD: std::cell::Cell<u64> = const { std::cell::Cell::new(u64::MAX) };
-    static DEPTH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    static THREAD_ORD: Cell<u64> = const { Cell::new(u64::MAX) };
+    static CURRENT: Cell<SpanCtx> = const {
+        Cell::new(SpanCtx {
+            parent: None,
+            depth: 0,
+        })
+    };
+}
+
+/// The calling thread's [`SpanCtx`]: under its innermost open span, or
+/// the top level when none is open (always, without the `obs` feature).
+#[must_use]
+pub fn current() -> SpanCtx {
+    if super::enabled() {
+        CURRENT.with(Cell::get)
+    } else {
+        SpanCtx::default()
+    }
 }
 
 static TRACER: OnceLock<Tracer> = OnceLock::new();
@@ -162,6 +169,7 @@ static TRACER: OnceLock<Tracer> = OnceLock::new();
 pub fn tracer() -> &'static Tracer {
     TRACER.get_or_init(|| Tracer {
         seq: AtomicU64::new(0),
+        next_id: AtomicU64::new(0),
         next_thread: AtomicU64::new(0),
         next_sink_id: AtomicU64::new(0),
         has_sink: AtomicBool::new(false),
@@ -183,18 +191,25 @@ impl Tracer {
         })
     }
 
+    fn next_id(&self) -> u64 {
+        self.next_id.fetch_add(1, Ordering::Relaxed)
+    }
+
     fn record(
         &self,
         kind: EventKind,
+        id: u64,
+        ctx: SpanCtx,
         name: &str,
         fields: Vec<(String, String)>,
         dur_ns: u64,
-        depth: u32,
     ) {
         let event = TraceEvent {
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
+            id,
+            parent: ctx.parent,
             thread: self.thread_ordinal(),
-            depth,
+            depth: ctx.depth,
             kind,
             name: name.to_string(),
             fields,
@@ -255,14 +270,6 @@ impl Tracer {
             .cloned()
             .collect()
     }
-
-    /// Drop all buffered events (sinks stay attached).
-    pub fn clear_ring(&self) {
-        self.ring
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
-    }
 }
 
 /// Open guard returned by [`span!`](crate::span). Records the span on drop.
@@ -270,59 +277,82 @@ pub struct SpanGuard {
     name: &'static str,
     fields: Vec<(String, String)>,
     start: Instant,
-    depth: u32,
+    id: u64,
+    ctx: SpanCtx,
+    /// The thread's context before this span opened, restored on drop.
+    prev: SpanCtx,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let dur_ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        DEPTH.with(|d| d.set(self.depth));
+        CURRENT.with(|c| c.set(self.prev));
         tracer().record(
             EventKind::Span,
+            self.id,
+            self.ctx,
             self.name,
             std::mem::take(&mut self.fields),
             dur_ns,
-            self.depth,
         );
     }
 }
 
-/// Open a span (called by the `span!` macro; prefer the macro).
-pub fn span_guard(name: &'static str, fields: Vec<(String, String)>) -> SpanGuard {
-    let depth = DEPTH.with(|d| {
-        let v = d.get();
-        d.set(v + 1);
-        v
+/// Open a span under `ctx` (called by the `span!` macro; prefer the
+/// macro). Until the guard drops, spans and events on this thread nest
+/// under it.
+pub fn span_guard(ctx: SpanCtx, name: &'static str, fields: Vec<(String, String)>) -> SpanGuard {
+    let id = tracer().next_id();
+    let prev = CURRENT.with(|c| {
+        c.replace(SpanCtx {
+            parent: Some(id),
+            depth: ctx.depth + 1,
+        })
     });
     SpanGuard {
         name,
         fields,
         start: Instant::now(),
-        depth,
+        id,
+        ctx,
+        prev,
     }
 }
 
 /// Record an instant event (called by the `event!` macro).
 pub fn instant_event(name: &str, fields: Vec<(String, String)>) {
-    let depth = DEPTH.with(std::cell::Cell::get);
-    tracer().record(EventKind::Event, name, fields, 0, depth);
+    let t = tracer();
+    t.record(
+        EventKind::Event,
+        t.next_id(),
+        CURRENT.with(Cell::get),
+        name,
+        fields,
+        0,
+    );
 }
 
 /// Open a span bracketing the enclosing scope. Bind the guard:
 /// `let _span = span!("inner_step", env = m);` — dropping it records
-/// the span. Compiles to nothing when the `obs` feature is off (the
-/// guard is `Option<SpanGuard>` and the fields are never rendered).
+/// the span. `span!(parent: ctx, ...)` opens it under a [`SpanCtx`]
+/// taken with [`current`] on another thread. Compiles to nothing when
+/// the `obs` feature is off (the guard is `Option<SpanGuard>` and the
+/// fields are never rendered).
 #[macro_export]
 macro_rules! span {
-    ($name:expr $(, $k:ident = $v:expr)* $(,)?) => {
+    (parent: $ctx:expr, $name:expr $(, $k:ident = $v:expr)* $(,)?) => {
         if $crate::obs::enabled() {
             Some($crate::obs::trace::span_guard(
+                $ctx,
                 $name,
                 vec![$((stringify!($k).to_string(), format!("{}", $v))),*],
             ))
         } else {
             None
         }
+    };
+    ($name:expr $(, $k:ident = $v:expr)* $(,)?) => {
+        $crate::span!(parent: $crate::obs::trace::current(), $name $(, $k = $v)*)
     };
 }
 
@@ -348,21 +378,31 @@ mod tests {
     // parallel, so these tests filter for their own (unique) span names
     // instead of assuming exclusive ownership of the ring/sinks.
 
+    /// The thread's context whether or not the `obs` feature is on
+    /// ([`current`] reads the top level without it).
+    fn here() -> SpanCtx {
+        CURRENT.with(Cell::get)
+    }
+
+    fn recorded(prefix: &str) -> Vec<TraceEvent> {
+        tracer()
+            .ring_snapshot()
+            .into_iter()
+            .filter(|e| e.name.starts_with(prefix))
+            .collect()
+    }
+
     #[test]
     fn spans_nest_and_record_depth() {
-        let t = tracer();
         {
-            let _outer = span_guard("trace_test_outer", vec![]);
+            let _outer = span_guard(here(), "trace_test_outer", vec![]);
             {
-                let _inner = span_guard("trace_test_inner", vec![("env".into(), "3".into())]);
+                let _inner =
+                    span_guard(here(), "trace_test_inner", vec![("env".into(), "3".into())]);
             }
         }
         instant_event("trace_test_tick", vec![]);
-        let ring = t.ring_snapshot();
-        let mine: Vec<&TraceEvent> = ring
-            .iter()
-            .filter(|e| e.name.starts_with("trace_test_"))
-            .collect();
+        let mine = recorded("trace_test_");
         let names: Vec<&str> = mine.iter().map(|e| e.name.as_str()).collect();
         // Spans record at close: inner first, then outer, then the event.
         assert_eq!(
@@ -370,12 +410,44 @@ mod tests {
             ["trace_test_inner", "trace_test_outer", "trace_test_tick"]
         );
         assert_eq!(mine[0].depth, 1);
+        assert_eq!(mine[0].parent, Some(mine[1].id));
         assert_eq!(mine[0].kind, EventKind::Span);
         assert_eq!(mine[0].fields, [("env".to_string(), "3".to_string())]);
         assert_eq!(mine[1].depth, 0);
+        assert_eq!(mine[1].parent, None);
+        // The outer span opened first, so it drew the smaller id.
+        assert!(mine[1].id < mine[0].id);
         assert_eq!(mine[2].kind, EventKind::Event);
+        assert_eq!((mine[2].parent, mine[2].depth), (None, 0));
         assert!(mine[0].seq < mine[1].seq && mine[1].seq < mine[2].seq);
         assert_eq!(mine[0].thread, mine[1].thread);
+    }
+
+    #[test]
+    fn a_worker_span_keeps_the_parent_it_was_opened_under() {
+        {
+            let _outer = span_guard(here(), "trace_ctx_outer", vec![]);
+            let ctx = here();
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    {
+                        let _worker = span_guard(ctx, "trace_ctx_worker", vec![]);
+                        let _nested = span_guard(here(), "trace_ctx_nested", vec![]);
+                        instant_event("trace_ctx_tick", vec![]);
+                    }
+                    // Closing restores the worker's own top level.
+                    assert_eq!(here(), SpanCtx::default());
+                });
+            });
+        }
+        let mine = recorded("trace_ctx_");
+        let by_name = |n: &str| mine.iter().find(|e| e.name == n).expect(n);
+        let (outer, worker) = (by_name("trace_ctx_outer"), by_name("trace_ctx_worker"));
+        let (nested, tick) = (by_name("trace_ctx_nested"), by_name("trace_ctx_tick"));
+        assert_ne!(worker.thread, outer.thread);
+        assert_eq!((worker.parent, worker.depth), (Some(outer.id), 1));
+        assert_eq!((nested.parent, nested.depth), (Some(worker.id), 2));
+        assert_eq!((tick.parent, tick.depth), (Some(nested.id), 3));
     }
 
     #[test]
@@ -402,6 +474,8 @@ mod tests {
     fn trace_event_serializes_to_json() {
         let ev = TraceEvent {
             seq: 7,
+            id: 9,
+            parent: Some(4),
             thread: 1,
             depth: 2,
             kind: EventKind::Span,
@@ -414,5 +488,6 @@ mod tests {
         assert!(json.contains("1234"), "{json}");
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         assert_eq!(v["seq"], 7u64);
+        assert_eq!(v["parent"], 4u64);
     }
 }

@@ -35,7 +35,6 @@ impl Default for FeatureExtractorConfig {
                     lambda_l2: 1.0,
                     min_gain: 1e-6,
                 },
-                ..Default::default()
             },
         }
     }

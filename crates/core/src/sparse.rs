@@ -146,6 +146,8 @@ impl MultiHotMatrix {
     ///
     /// Panics when `rows.len() != BLOCK_ROWS` or
     /// `weights.len() != n_cols`.
+    // The crate's one `unsafe`: the unchecked gather below.
+    #[allow(unsafe_code)]
     pub fn dot_block(&self, rows: &[u32], weights: &[f64], acc: &mut [f64; BLOCK_ROWS]) {
         let nnz = self.nnz_per_row;
         assert_eq!(rows.len(), BLOCK_ROWS, "dot_block needs a full block");

@@ -80,19 +80,6 @@ impl StepTimer {
         self.epoch_total
     }
 
-    /// Fraction of total time per step (paper Fig. 7). Returns zeros when
-    /// nothing was timed.
-    pub fn proportions(&self) -> [f64; 5] {
-        let total = self.epoch_total.as_secs_f64();
-        let mut out = [0.0; 5];
-        if total > 0.0 {
-            for (o, d) in out.iter_mut().zip(&self.totals) {
-                *o = d.as_secs_f64() / total;
-            }
-        }
-        out
-    }
-
     /// Merge another timer's accumulations into this one.
     pub fn merge(&mut self, other: &StepTimer) {
         for (a, b) in self.totals.iter_mut().zip(&other.totals) {
@@ -149,11 +136,6 @@ impl OpCounter {
     /// First-order atomic operations — the quantity §III-F counts.
     pub fn total(&self) -> u64 {
         self.forward + self.backward
-    }
-
-    /// Everything, including second-order passes.
-    pub fn total_with_hvp(&self) -> u64 {
-        self.total() + self.hvp
     }
 }
 
@@ -327,26 +309,6 @@ mod tests {
         assert!(t.total(Step::MetaLoss) >= Duration::from_millis(5));
         assert!(t.total(Step::LoadData).is_zero());
         assert!(t.epoch_total() >= t.total(Step::MetaLoss));
-    }
-
-    #[test]
-    fn proportions_sum_to_one_when_timed() {
-        let mut t = StepTimer::new();
-        t.time(Step::LoadData, || {
-            std::thread::sleep(Duration::from_millis(2))
-        });
-        t.time(Step::Backward, || {
-            std::thread::sleep(Duration::from_millis(2))
-        });
-        let p = t.proportions();
-        let sum: f64 = p.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn proportions_zero_when_untimed() {
-        let t = StepTimer::new();
-        assert_eq!(t.proportions(), [0.0; 5]);
     }
 
     #[test]

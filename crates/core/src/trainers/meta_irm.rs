@@ -143,11 +143,13 @@ impl MetaIrmTrainer {
             timer.time(Step::InnerOptimization, || {
                 let weights = &model.weights;
                 let mobs = mobs.as_ref();
+                // The workers open their spans under this epoch's.
+                let epoch_ctx = crate::obs::trace::current();
                 pool.slots_mut()
                     .par_iter_mut()
                     .enumerate()
                     .for_each(|(i, slot)| {
-                        let _span = crate::span!("inner_step", env = envs[i]);
+                        let _span = crate::span!(parent: epoch_ctx, "inner_step", env = envs[i]);
                         let t0 = mobs.map(|_| std::time::Instant::now());
                         let EnvScratch {
                             theta_bar,

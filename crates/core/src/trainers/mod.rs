@@ -83,8 +83,9 @@ impl Momentum {
 
 /// A trained predictor: a single global model, or a per-environment family
 /// (the "ERM + fine-tuning" baseline evaluates each province with its own
-/// fine-tuned copy).
-#[derive(Debug, Clone)]
+/// fine-tuned copy). It is also the head a [`crate::bundle::ModelBundle`]
+/// stores.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum TrainedModel {
     /// One model scores every row.
     Global(LrModel),
@@ -106,14 +107,22 @@ impl TrainedModel {
     ) -> Vec<f64> {
         match self {
             TrainedModel::Global(model) => model.predict_rows(x, rows),
-            TrainedModel::PerEnv { base, per_env } => rows
+            TrainedModel::PerEnv { .. } => rows
                 .iter()
-                .map(|&r| {
-                    let env = env_ids[r as usize] as usize;
-                    let model = per_env.get(env).and_then(Option::as_ref).unwrap_or(base);
-                    model.predict_row(x, r as usize)
-                })
+                .map(|&r| self.head(env_ids[r as usize]).predict_row(x, r as usize))
                 .collect(),
+        }
+    }
+
+    /// The head that scores environment `env`: its own fine-tuned copy
+    /// when it has one, the global (or base) model otherwise.
+    pub fn head(&self, env: u16) -> &LrModel {
+        match self {
+            TrainedModel::Global(m) => m,
+            TrainedModel::PerEnv { base, per_env } => per_env
+                .get(usize::from(env))
+                .and_then(Option::as_ref)
+                .unwrap_or(base),
         }
     }
 

@@ -8,7 +8,7 @@
 
 use crate::env::EnvDataset;
 use crate::kernels;
-use crate::lr::{env_loss, sigmoid, LrModel};
+use crate::lr::{sigmoid, LrModel};
 use crate::sparse::MultiHotMatrix;
 use crate::timing::{OpCounter, Step, StepTimer};
 use crate::trainers::{active_envs_checked, EpochObserver, TrainConfig, TrainOutput, TrainedModel};
@@ -90,31 +90,6 @@ impl GroupDroTrainer {
             ops,
             epochs_run: self.config.epochs,
         }
-    }
-
-    /// The final group weights are internal state; expose the trainer's
-    /// worst-group focus for diagnostics by recomputing them.
-    pub fn group_weights(&self, data: &EnvDataset, model: &LrModel) -> Vec<f64> {
-        let envs = data.active_envs();
-        let losses: Vec<f64> = envs
-            .iter()
-            .map(|&m| {
-                env_loss(
-                    &model.weights,
-                    &data.x,
-                    &data.labels,
-                    data.env_rows(m),
-                    self.config.reg,
-                )
-            })
-            .collect();
-        let max = losses.iter().cloned().fold(f64::MIN, f64::max);
-        let exp: Vec<f64> = losses
-            .iter()
-            .map(|&l| (self.group_step * (l - max)).exp())
-            .collect();
-        let z: f64 = exp.iter().sum();
-        exp.into_iter().map(|e| e / z).collect()
     }
 }
 
@@ -288,6 +263,7 @@ impl Irmv1Trainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lr::env_loss;
 
     /// Two environments: env 0 large & easy, env 1 small & differently
     /// distributed (its positives also carry column 3).
@@ -346,29 +322,6 @@ mod tests {
             worst(dro.model.global()) <= worst(erm.model.global()) + 1e-6,
             "DRO worst-group loss should not exceed ERM's"
         );
-    }
-
-    #[test]
-    fn group_dro_weights_concentrate_on_worst_group() {
-        let data = toy();
-        let out = GroupDroTrainer::new(cfg(10), 1.0).fit(&data, None);
-        let trainer = GroupDroTrainer::new(cfg(10), 1.0);
-        let q = trainer.group_weights(&data, out.model.global());
-        let losses = env_losses(out.model.global(), &data);
-        let worst_env = losses
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        let best_q = q
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        assert_eq!(worst_env, best_q);
-        assert!((q.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -265,6 +265,45 @@ fn a_leaf_index_past_its_tree_is_malformed_not_a_silent_misroute() {
     );
 }
 
+#[test]
+fn a_per_env_head_of_the_wrong_width_is_a_dimension_mismatch() {
+    let (bundle, features, env_ids) = demo_bundle();
+    let leaves = bundle.extractor.total_leaves();
+    let base = bundle.model.global().clone();
+    let narrow = TrainedModel::PerEnv {
+        base: base.clone(),
+        per_env: vec![None, Some(LrModel { weights: vec![0.5] })],
+    };
+    // Assembling such a bundle is refused…
+    assert!(matches!(
+        ModelBundle::new(bundle.extractor.clone(), &narrow, BundleMetadata::default()),
+        Err(BundleError::DimensionMismatch { leaves: l, weights: 1 }) if l == leaves
+    ));
+    // …and so is loading one, enveloped or bare.
+    let mut hostile = bundle.clone();
+    hostile.model = narrow;
+    let path = Scratch::new("narrow-head");
+    for text in [hostile.to_envelope(), hostile.to_json()] {
+        std::fs::write(&path.0, text).expect("write hostile");
+        let err = ModelBundle::load_from_path(&path.0).expect_err("a narrow head must not load");
+        assert!(
+            matches!(err, BundleError::DimensionMismatch { weights: 1, .. }),
+            "{err}, expected DimensionMismatch"
+        );
+    }
+    // Full-width per-env heads still assemble, and score every province.
+    let wide = TrainedModel::PerEnv {
+        per_env: vec![None, Some(base.clone())],
+        base,
+    };
+    let ok = ModelBundle::new(bundle.extractor.clone(), &wide, BundleMetadata::default())
+        .expect("full-width heads");
+    assert_eq!(
+        ok.score_batch(&features, &env_ids),
+        bundle.score_batch(&features, &env_ids)
+    );
+}
+
 /// The failpoint registry is process-global; serialize the tests that
 /// program it so parallel test threads cannot cross their schedules.
 #[cfg(feature = "failpoints")]

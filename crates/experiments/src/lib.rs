@@ -7,6 +7,8 @@
 //! the measured ones. Flags: `--rows N --seed N --seeds K --epochs N
 //! --trees N --min-eval-rows N --out DIR` (see [`ExpConfig::from_args`]).
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use lightmirm_core::prelude::*;

@@ -1,5 +1,5 @@
-//! Gradient boosting driver: binary-logloss objective, shrinkage, early
-//! stopping, prediction, and the GBDT+LR leaf-index transform.
+//! Gradient boosting driver: binary-logloss objective, shrinkage,
+//! prediction, and the GBDT+LR leaf-index transform.
 
 use crate::binning::BinnedDataset;
 use crate::grow::{grow, GrowConfig, HistogramPool};
@@ -20,9 +20,6 @@ pub struct GbdtConfig {
     pub max_bins: usize,
     /// Per-tree structural parameters.
     pub grow: GrowConfig,
-    /// Stop when the validation logloss has not improved for this many
-    /// rounds (requires a validation set in [`Gbdt::fit_with_valid`]).
-    pub early_stopping_rounds: Option<usize>,
 }
 
 impl Default for GbdtConfig {
@@ -32,7 +29,6 @@ impl Default for GbdtConfig {
             learning_rate: 0.1,
             max_bins: 255,
             grow: GrowConfig::default(),
-            early_stopping_rounds: None,
         }
     }
 }
@@ -317,17 +313,8 @@ fn sigmoid(x: f64) -> f64 {
     }
 }
 
-fn logloss(scores: &[f64], labels: &[u8]) -> f64 {
-    let mut total = 0.0;
-    for (&s, &y) in scores.iter().zip(labels) {
-        let p = sigmoid(s).clamp(1e-12, 1.0 - 1e-12);
-        total -= if y != 0 { p.ln() } else { (1.0 - p).ln() };
-    }
-    total / scores.len() as f64
-}
-
 impl Gbdt {
-    /// Train on a row-major matrix without a validation set.
+    /// Train `config.n_trees` rounds on a row-major matrix.
     ///
     /// # Errors
     ///
@@ -336,22 +323,6 @@ impl Gbdt {
         features: &[f32],
         n_features: usize,
         labels: &[u8],
-        config: &GbdtConfig,
-    ) -> Result<Self, GbdtError> {
-        Self::fit_with_valid(features, n_features, labels, None, config)
-    }
-
-    /// Train with an optional `(features, labels)` validation set used for
-    /// early stopping.
-    ///
-    /// # Errors
-    ///
-    /// See [`GbdtError`].
-    pub fn fit_with_valid(
-        features: &[f32],
-        n_features: usize,
-        labels: &[u8],
-        valid: Option<(&[f32], &[u8])>,
         config: &GbdtConfig,
     ) -> Result<Self, GbdtError> {
         if n_features == 0 || !features.len().is_multiple_of(n_features) {
@@ -392,12 +363,6 @@ impl Gbdt {
         let mut grads = vec![0.0f64; n_rows];
         let mut hessians = vec![0.0f64; n_rows];
 
-        let mut valid_scores: Option<Vec<f64>> =
-            valid.map(|(vf, _)| vec![base_score; vf.len() / n_features]);
-        let mut best_loss = f64::INFINITY;
-        let mut best_len = 0usize;
-        let mut stall = 0usize;
-
         // One pool of histogram sets serves every tree of the fit.
         let mut pool = HistogramPool::default();
         for _round in 0..config.n_trees {
@@ -424,34 +389,8 @@ impl Gbdt {
             model
                 .leaf_offsets
                 .push(model.leaf_offsets.last().unwrap() + n_leaves);
-
-            if let (Some((vf, vy)), Some(vs)) = (valid, valid_scores.as_mut()) {
-                let tree = model.trees.last().expect("just pushed");
-                for (row_idx, score) in vs.iter_mut().enumerate() {
-                    *score += tree.predict(&vf[row_idx * n_features..(row_idx + 1) * n_features]);
-                }
-                let loss = logloss(vs, vy);
-                if loss < best_loss - 1e-9 {
-                    best_loss = loss;
-                    best_len = model.trees.len();
-                    stall = 0;
-                } else {
-                    stall += 1;
-                    if config
-                        .early_stopping_rounds
-                        .is_some_and(|rounds| stall >= rounds)
-                    {
-                        break;
-                    }
-                }
-            }
         }
 
-        // Truncate to the best validation point when early stopping ran.
-        if valid.is_some() && config.early_stopping_rounds.is_some() && best_len > 0 {
-            model.trees.truncate(best_len);
-            model.leaf_offsets.truncate(best_len + 1);
-        }
         model.walk = Walk::build(&model.trees, n_features, &model.leaf_offsets)
             .expect("grown trees are well-formed");
         Ok(model)
@@ -582,8 +521,16 @@ mod tests {
                 lambda_l2: 1.0,
                 min_gain: 1e-6,
             },
-            ..Default::default()
         }
+    }
+
+    fn logloss(scores: &[f64], labels: &[u8]) -> f64 {
+        let mut total = 0.0;
+        for (&s, &y) in scores.iter().zip(labels) {
+            let p = sigmoid(s).clamp(1e-12, 1.0 - 1e-12);
+            total -= if y != 0 { p.ln() } else { (1.0 - p).ln() };
+        }
+        total / scores.len() as f64
     }
 
     #[test]
@@ -668,23 +615,6 @@ mod tests {
             .map(|t| (model.leaf_offsets[t + 1] - model.leaf_offsets[t]) as usize)
             .sum();
         assert_eq!(direct, model.total_leaves());
-    }
-
-    #[test]
-    fn early_stopping_truncates() {
-        let (feats, labels) = ring_data(1200);
-        let (train_f, valid_f) = feats.split_at(1600);
-        let (train_y, valid_y) = labels.split_at(800);
-        let mut config = quick_config(200);
-        config.early_stopping_rounds = Some(5);
-        let model =
-            Gbdt::fit_with_valid(train_f, 2, train_y, Some((valid_f, valid_y)), &config).unwrap();
-        assert!(
-            model.n_trees() < 200,
-            "expected early stop, got {}",
-            model.n_trees()
-        );
-        assert_eq!(model.leaf_offsets.len(), model.n_trees() + 1);
     }
 
     #[test]

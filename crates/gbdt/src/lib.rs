@@ -9,8 +9,8 @@
 //!   gain ([`grow`], [`histogram`]): every tree's root is the whole
 //!   training set, its histograms summed bin by bin, and below it the
 //!   histogram-subtraction trick builds only the smaller child's;
-//! - **binary-logloss boosting** with shrinkage and validation-based early
-//!   stopping ([`boost`]);
+//! - **binary-logloss boosting** with shrinkage, a fixed number of rounds
+//!   ([`boost`]);
 //! - the **GBDT+LR transform**: each tree maps a raw row to a leaf index;
 //!   concatenated one-hot leaf encodings form the multi-hot input of the
 //!   downstream logistic-regression model ([`Gbdt::transform_row`]).
@@ -32,6 +32,8 @@
 //! assert!(model.predict_proba(&[0.9, 0.0]) > 0.5);
 //! assert!(model.predict_proba(&[0.1, 0.0]) < 0.5);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod binning;
 pub mod boost;

@@ -153,31 +153,6 @@ impl LoanFrame {
             .collect()
     }
 
-    /// Add `delta` to the given feature columns of every row matching a
-    /// predicate over `(year, half, province)` — the controlled covariate
-    /// shift used by the drift and adaptation replays. Returns how many
-    /// rows were shifted.
-    pub fn shift_features(
-        &mut self,
-        mut pred: impl FnMut(u16, u8, u16) -> bool,
-        columns: &[usize],
-        delta: f32,
-    ) -> usize {
-        for &c in columns {
-            assert!(c < self.n_features, "column {c} out of range");
-        }
-        let mut shifted = 0;
-        for r in 0..self.len() {
-            if pred(self.year[r], self.half[r], self.province[r]) {
-                for &c in columns {
-                    self.features[r * self.n_features + c] += delta;
-                }
-                shifted += 1;
-            }
-        }
-        shifted
-    }
-
     /// Append all rows of `other` (must have the same width).
     ///
     /// # Errors
@@ -289,23 +264,6 @@ mod tests {
         assert_eq!(f.len(), 3);
         assert_eq!(f.row(1), &[4.0, 5.0, 6.0]);
         assert_eq!(f.n_features(), 3);
-    }
-
-    #[test]
-    fn shift_features_targets_matching_rows_and_columns_only() {
-        let mut f = tiny_frame();
-        let shifted = f.shift_features(|_, _, p| p == 5, &[0, 2], 10.0);
-        assert_eq!(shifted, 2);
-        assert_eq!(f.row(0), &[11.0, 2.0, 13.0]);
-        assert_eq!(f.row(1), &[4.0, 5.0, 6.0]); // province 7: untouched
-        assert_eq!(f.row(2), &[17.0, 8.0, 19.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "column 9 out of range")]
-    fn shift_features_rejects_out_of_range_columns() {
-        let mut f = tiny_frame();
-        f.shift_features(|_, _, _| true, &[9], 1.0);
     }
 
     #[test]

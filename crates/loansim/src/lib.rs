@@ -28,6 +28,8 @@
 //! assert!(split.train.len() + split.test.len() == 1000);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod frame;
 pub mod generate;
 pub mod io;

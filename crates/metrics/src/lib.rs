@@ -8,9 +8,8 @@
 //! - [`ks`] — the two-sample Kolmogorov–Smirnov statistic between the score
 //!   distributions of the positive and negative classes, the standard
 //!   risk-ranking measure in credit scoring.
-//! - [`roc`] — full ROC curves and threshold sweeps, used for the online
-//!   false-positive-rate vs. bad-debt-rate trade-off (paper Fig. 5).
-//! - [`confusion`] — thresholded confusion-matrix statistics.
+//! - [`roc`] — full ROC curves and a trapezoidal AUC that cross-checks
+//!   [`auc`].
 //! - [`report`] — per-environment fairness aggregation producing the
 //!   paper's headline numbers `mKS`, `wKS`, `mAUC`, `wAUC`
 //!   (mean and worst across environments).
@@ -21,16 +20,15 @@
 //! - [`drift`] — the population stability index (PSI), the standard
 //!   credit-risk monitor for the covariate shift the paper analyses.
 //! - [`lift`] — Gini coefficient and decile lift/gain tables.
-//! - [`isotonic`] — monotone score recalibration (pool-adjacent-violators).
 //!
 //! All functions take plain `&[f64]` scores and `&[u8]` binary labels so
 //! they are agnostic to the model that produced the scores.
 
+#![forbid(unsafe_code)]
+
 pub mod bootstrap;
 pub mod calibration;
-pub mod confusion;
 pub mod drift;
-pub mod isotonic;
 pub mod lift;
 pub mod rank;
 pub mod report;
@@ -38,13 +36,11 @@ pub mod roc;
 
 pub use bootstrap::{bootstrap_ci, BootstrapCi};
 pub use calibration::{brier_score, expected_calibration_error, reliability_curve, ReliabilityBin};
-pub use confusion::{Confusion, ThresholdMetrics};
 pub use drift::{psi, DriftLevel, PsiBucket, PsiReport};
-pub use isotonic::IsotonicCalibrator;
 pub use lift::{gini, lift_table, LiftBucket};
 pub use rank::{auc, ks, ks_curve};
 pub use report::{EnvReport, EnvScores, FairnessSummary};
-pub use roc::{roc_curve, threshold_sweep, RocPoint, TradeoffPoint};
+pub use roc::{roc_curve, RocPoint};
 
 /// Errors produced by metric computations.
 #[derive(Debug, Clone, PartialEq, Eq)]

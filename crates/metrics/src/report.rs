@@ -133,31 +133,6 @@ impl FairnessSummary {
             envs: reports,
         })
     }
-
-    /// Group flat prediction arrays by an environment id and compute the
-    /// summary. `env_ids[i]` indexes into `env_names`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an `env_id` is out of range of `env_names` — that is a
-    /// programming error in the caller, not a data condition.
-    pub fn from_flat(
-        scores: &[f64],
-        labels: &[u8],
-        env_ids: &[u16],
-        env_names: &[String],
-    ) -> Result<Self, MetricError> {
-        assert_eq!(scores.len(), labels.len());
-        assert_eq!(scores.len(), env_ids.len());
-        let mut buckets: Vec<EnvScores> = env_names
-            .iter()
-            .map(|n| EnvScores::new(n.clone()))
-            .collect();
-        for ((&s, &y), &e) in scores.iter().zip(labels).zip(env_ids) {
-            buckets[e as usize].push(s, y);
-        }
-        Self::compute(&buckets)
-    }
 }
 
 #[cfg(test)]
@@ -219,18 +194,6 @@ mod tests {
         let a = env("A", &[0.1, 0.9, 0.4, 0.8], &[0, 1, 0, 1]);
         let s = FairnessSummary::compute(&[a]).unwrap();
         assert!((s.envs[0].default_rate - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_flat_groups_correctly() {
-        let scores = [0.1, 0.9, 0.9, 0.1];
-        let labels = [0, 1, 0, 1];
-        let env_ids = [0u16, 0, 1, 1];
-        let names = vec!["A".to_string(), "B".to_string()];
-        let s = FairnessSummary::from_flat(&scores, &labels, &env_ids, &names).unwrap();
-        assert_eq!(s.envs.len(), 2);
-        assert_eq!(s.envs[0].auc, 1.0);
-        assert_eq!(s.envs[1].auc, 0.0);
     }
 
     #[test]

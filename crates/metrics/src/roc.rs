@@ -1,8 +1,7 @@
-//! ROC curves and threshold trade-off sweeps.
+//! ROC curves.
 //!
-//! [`threshold_sweep`] backs the paper's online evaluation (Fig. 5): as the
-//! rejection threshold moves, how many good loans are refused (false
-//! positive rate) versus how much bad debt remains among approved loans.
+//! The paper's online FPR vs. bad-debt trade-off (Fig. 5) is computed by
+//! `lightmirm_core::online::replay`, not here.
 
 use crate::{validate, MetricError};
 
@@ -15,21 +14,6 @@ pub struct RocPoint {
     pub tpr: f64,
     /// False positive rate (good loans incorrectly flagged).
     pub fpr: f64,
-}
-
-/// One point of the online FPR vs. residual-bad-debt trade-off (paper
-/// Fig. 5).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
-pub struct TradeoffPoint {
-    /// Rejection threshold applied to the companion model's score.
-    pub threshold: f64,
-    /// Fraction of non-defaulting applicants rejected.
-    pub false_positive_rate: f64,
-    /// Default rate among the loans that are still approved — the paper's
-    /// "bad debt rate" after adding the companion model.
-    pub residual_default_rate: f64,
-    /// Fraction of all applications rejected by the companion model.
-    pub rejection_rate: f64,
 }
 
 /// Compute the ROC curve at every distinct score threshold, descending.
@@ -86,62 +70,6 @@ pub fn roc_curve(scores: &[f64], labels: &[u8]) -> Result<Vec<RocPoint>, MetricE
     Ok(curve)
 }
 
-/// Sweep a grid of rejection thresholds and report the online trade-off
-/// metrics at each one.
-///
-/// `thresholds` does not need to be sorted; each entry is evaluated
-/// independently with the rule "reject when `score >= threshold`".
-/// When a threshold approves zero loans the residual default rate is
-/// reported as `0.0` (there is no remaining portfolio to default).
-///
-/// # Errors
-///
-/// Returns [`MetricError`] under the same conditions as [`crate::auc`].
-pub fn threshold_sweep(
-    scores: &[f64],
-    labels: &[u8],
-    thresholds: &[f64],
-) -> Result<Vec<TradeoffPoint>, MetricError> {
-    validate(scores, labels)?;
-    let n = scores.len() as f64;
-    let n_neg = labels.iter().filter(|&&y| y == 0).count() as f64;
-    let mut out = Vec::with_capacity(thresholds.len());
-    for &t in thresholds {
-        let mut rejected = 0.0f64;
-        let mut rejected_good = 0.0f64;
-        let mut approved = 0.0f64;
-        let mut approved_bad = 0.0f64;
-        for (&s, &y) in scores.iter().zip(labels) {
-            if s >= t {
-                rejected += 1.0;
-                if y == 0 {
-                    rejected_good += 1.0;
-                }
-            } else {
-                approved += 1.0;
-                if y != 0 {
-                    approved_bad += 1.0;
-                }
-            }
-        }
-        out.push(TradeoffPoint {
-            threshold: t,
-            false_positive_rate: if n_neg > 0.0 {
-                rejected_good / n_neg
-            } else {
-                0.0
-            },
-            residual_default_rate: if approved > 0.0 {
-                approved_bad / approved
-            } else {
-                0.0
-            },
-            rejection_rate: rejected / n,
-        });
-    }
-    Ok(out)
-}
-
 /// AUC computed by trapezoidal integration of the ROC curve.
 ///
 /// Provided as an independent cross-check of [`crate::auc`]; the two agree
@@ -191,40 +119,6 @@ mod tests {
         assert!((a - b).abs() < 1e-12, "rank {a} vs trapezoid {b}");
     }
 
-    #[test]
-    fn sweep_extreme_thresholds() {
-        let scores = [0.2, 0.6, 0.4, 0.8];
-        let labels = [0, 0, 1, 1];
-        let pts = threshold_sweep(&scores, &labels, &[0.0, 1.1]).unwrap();
-        // Threshold 0: everything rejected, nothing approved.
-        assert_eq!(pts[0].rejection_rate, 1.0);
-        assert_eq!(pts[0].false_positive_rate, 1.0);
-        assert_eq!(pts[0].residual_default_rate, 0.0);
-        // Threshold above max: everything approved; bad debt = base rate.
-        assert_eq!(pts[1].rejection_rate, 0.0);
-        assert_eq!(pts[1].false_positive_rate, 0.0);
-        assert!((pts[1].residual_default_rate - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sweep_reduces_bad_debt_with_good_model() {
-        // A well-ordered model: rejecting at 0.5 removes both defaulters.
-        let scores = [0.1, 0.2, 0.7, 0.9];
-        let labels = [0, 0, 1, 1];
-        let pts = threshold_sweep(&scores, &labels, &[0.5]).unwrap();
-        assert_eq!(pts[0].residual_default_rate, 0.0);
-        assert_eq!(pts[0].false_positive_rate, 0.0);
-        assert_eq!(pts[0].rejection_rate, 0.5);
-    }
-
-    #[test]
-    fn sweep_residual_rate_zero_when_all_rejected() {
-        let scores = [0.9, 0.8];
-        let labels = [1, 0];
-        let pts = threshold_sweep(&scores, &labels, &[0.0]).unwrap();
-        assert_eq!(pts[0].residual_default_rate, 0.0);
-    }
-
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -248,26 +142,6 @@ mod tests {
                 let a = auc(&scores, &labels).unwrap();
                 let b = auc_trapezoid(&scores, &labels).unwrap();
                 prop_assert!((a - b).abs() < 1e-10);
-            }
-
-            #[test]
-            fn sweep_rates_are_probabilities((scores, labels) in scored_labels()) {
-                let grid: Vec<f64> = (0..=10).map(|i| i as f64 / 10.0).collect();
-                for p in threshold_sweep(&scores, &labels, &grid).unwrap() {
-                    prop_assert!((0.0..=1.0).contains(&p.false_positive_rate));
-                    prop_assert!((0.0..=1.0).contains(&p.residual_default_rate));
-                    prop_assert!((0.0..=1.0).contains(&p.rejection_rate));
-                }
-            }
-
-            #[test]
-            fn rejection_rate_monotone_in_threshold((scores, labels) in scored_labels()) {
-                let grid: Vec<f64> = (0..=10).map(|i| i as f64 / 10.0).collect();
-                let pts = threshold_sweep(&scores, &labels, &grid).unwrap();
-                for w in pts.windows(2) {
-                    // Higher threshold rejects a subset.
-                    prop_assert!(w[1].rejection_rate <= w[0].rejection_rate + 1e-12);
-                }
             }
         }
     }

@@ -829,10 +829,7 @@ impl PromotionController {
         let data = EnvDataset::new(x, snapshot.labels.clone(), dense_ids, env_names).ok()?;
 
         // Warm start from the champion's global head.
-        let init = match &parent.model {
-            lightmirm_core::bundle::StoredModel::Global(m) => m.clone(),
-            lightmirm_core::bundle::StoredModel::PerEnv { base, .. } => base.clone(),
-        };
+        let init = parent.model.global().clone();
         let trainer =
             LightMirmTrainer::with_mrq(self.cfg.train.clone(), self.cfg.mrq_len, self.cfg.gamma);
         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
