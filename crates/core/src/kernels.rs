@@ -7,9 +7,16 @@
 //! 1. **Fused single-pass kernels** — [`env_loss_grad`] computes the loss
 //!    and the gradient from one `θᵀx` evaluation per row (the separate
 //!    [`crate::lr::env_loss`] + [`crate::lr::env_grad`] pair computes the
-//!    same logit twice), and [`env_loss_grad_cached`] additionally records
-//!    the per-row logits so the outer-loop HVP at the same `θ` can skip
-//!    its own logit pass via [`hvp_from_logits`];
+//!    same logit twice); the meta trainers take each meta-loss
+//!    `R^e(θ̄_m)` and its gradient from it. [`env_grad_cached`] is the
+//!    inner step's pass: the gradient and the per-row logits, with no
+//!    loss, so the outer-loop HVP at the same `θ` can skip its own logit
+//!    pass via [`hvp_from_logits`]. [`env_grad`], the gradient alone, is
+//!    the single-level trainers' step. All four gradient kernels (with
+//!    [`env_loss_grad_cached`]: loss, gradient and logits) share one
+//!    chunk loop, with the loss sum selected at compile time; no trainer
+//!    calls [`env_loss_grad_cached`] or the forward-only [`env_loss`],
+//!    which remain for perfbench's probe;
 //! 2. **Vectorized row-block execution** — each chunk is walked in
 //!    [`crate::simd::BLOCK_ROWS`]-row blocks: the per-row `θᵀx` sums run
 //!    as eight independent accumulator chains, all eight rows advanced
@@ -75,14 +82,30 @@ fn softplus(z: f64) -> f64 {
     }
 }
 
-/// One chunk of the fused forward+backward pass: accumulates the
-/// unnormalized loss sum and the `inv_n`-scaled gradient over
-/// `chunk_rows`, optionally recording each row's logit. Eight rows' dots
-/// run as independent accumulator chains ([`MultiHotMatrix::dot_block`]),
-/// then each row is finished **in row order** (loss accumulation and
-/// gradient scatter), so the fp operation sequence matches the serial
-/// [`crate::lr`] pair exactly.
-fn fused_chunk(
+/// One row's `σ(z)` for the gradient scatter. With `LOSS`, `σ(z)` and
+/// `softplus(z)` share one `exp` ([`sigmoid_softplus`]) and the row's
+/// stable BCE-with-logits term `softplus(z) − y z` is added to `total`;
+/// without it, `σ(z)` alone comes from [`sigmoid`]. The two `σ(z)` are the
+/// same bits.
+#[inline(always)]
+fn row_sigmoid<const LOSS: bool>(z: f64, y: f64, total: &mut f64) -> f64 {
+    if LOSS {
+        let (sig, sp) = sigmoid_softplus(z);
+        *total += sp - y * z;
+        sig
+    } else {
+        sigmoid(z)
+    }
+}
+
+/// One chunk of the fused pass: accumulates the `inv_n`-scaled gradient
+/// over `chunk_rows` and, with `LOSS`, returns the unnormalized loss sum
+/// (0 without it), optionally recording each row's logit. Eight rows'
+/// dots run as independent accumulator chains
+/// ([`MultiHotMatrix::dot_block`]), then each row is finished **in row
+/// order** (loss accumulation and gradient scatter), so the fp operation
+/// sequence matches the serial [`crate::lr`] pair exactly.
+fn fused_chunk<const LOSS: bool>(
     theta: &[f64],
     x: &MultiHotMatrix,
     labels: &[u8],
@@ -103,10 +126,7 @@ fn fused_chunk(
                 ls[base + k] = z;
             }
             let y = labels[r] as f64;
-            // Stable BCE-with-logits (softplus(z) − y z) and σ(z) from one exp.
-            let (sig, sp) = sigmoid_softplus(z);
-            total += sp - y * z;
-            let coef = (sig - y) * inv_n;
+            let coef = (row_sigmoid::<LOSS>(z, y, &mut total) - y) * inv_n;
             x.scatter_add(r, coef, grad);
         }
         base += BLOCK_ROWS;
@@ -118,31 +138,84 @@ fn fused_chunk(
             ls[base + k] = z;
         }
         let y = labels[r] as f64;
-        let (sig, sp) = sigmoid_softplus(z);
-        total += sp - y * z;
-        let coef = (sig - y) * inv_n;
+        let coef = (row_sigmoid::<LOSS>(z, y, &mut total) - y) * inv_n;
         x.scatter_add(r, coef, grad);
     }
     total
 }
 
-/// Apply the L2 terms and normalization shared by loss and gradient.
-fn finish_loss_grad(total: f64, n_rows: usize, theta: &[f64], reg: f64, grad: &mut [f64]) -> f64 {
+/// The fused pass over `rows`: the gradient into `grad_out` (zeroed
+/// first), the logits into `logits_out` when given, and, with `LOSS`, the
+/// loss as the return value (0 without it).
+///
+/// Rows are processed in fixed [`CHUNK_ROWS`] chunks, in parallel, with
+/// the chunk partials merged in chunk order, so the result is
+/// bit-identical for any thread count, and for `rows.len() <= CHUNK_ROWS`
+/// bit-identical to the serial reference.
+fn fused<const LOSS: bool>(
+    theta: &[f64],
+    x: &MultiHotMatrix,
+    labels: &[u8],
+    rows: &[u32],
+    reg: f64,
+    grad_out: &mut [f64],
+    logits_out: Option<&mut [f64]>,
+) -> f64 {
+    debug_assert_eq!(grad_out.len(), theta.len());
+    grad_out.fill(0.0);
+    let t0 = if crate::obs::enabled() {
+        Some(std::time::Instant::now())
+    } else {
+        None
+    };
+    let inv_n = 1.0 / rows.len() as f64;
+    let total = if rows.len() <= CHUNK_ROWS {
+        fused_chunk::<LOSS>(theta, x, labels, rows, inv_n, grad_out, logits_out)
+    } else {
+        let run = |chunk: &[u32], lchunk: Option<&mut [f64]>| {
+            let mut g = vec![0.0; theta.len()];
+            let s = fused_chunk::<LOSS>(theta, x, labels, chunk, inv_n, &mut g, lchunk);
+            (s, g)
+        };
+        let partials: Vec<(f64, Vec<f64>)> = match logits_out {
+            Some(l) => rows
+                .par_chunks(CHUNK_ROWS)
+                .zip(l.par_chunks_mut(CHUNK_ROWS))
+                .map(|(chunk, lchunk)| run(chunk, Some(lchunk)))
+                .collect(),
+            None => rows
+                .par_chunks(CHUNK_ROWS)
+                .map(|chunk| run(chunk, None))
+                .collect(),
+        };
+        merge_partials(partials, grad_out)
+    };
     if reg > 0.0 {
-        for (g, &w) in grad.iter_mut().zip(theta) {
+        for (g, &w) in grad_out.iter_mut().zip(theta) {
             *g += reg * w;
         }
     }
-    let mut loss = total / n_rows as f64;
-    if reg > 0.0 {
-        loss += reg / 2.0 * theta.iter().map(|w| w * w).sum::<f64>();
+    let loss = if LOSS {
+        let mut loss = total / rows.len() as f64;
+        if reg > 0.0 {
+            loss += reg / 2.0 * theta.iter().map(|w| w * w).sum::<f64>();
+        }
+        loss
+    } else {
+        0.0
+    };
+    if let Some(t0) = t0 {
+        let k = kobs();
+        k.fused_ns.record_duration(t0.elapsed());
+        k.fused_chunks.add(rows.len().div_ceil(CHUNK_ROWS) as u64);
     }
     loss
 }
 
 /// Fused `env_loss` + `env_grad`: one logit evaluation per row feeds both
 /// the loss sum and the gradient scatter. Returns the loss; writes the
-/// gradient into `grad_out` (zeroed first).
+/// gradient into `grad_out` (zeroed first). The meta trainers score each
+/// `θ̄_m` with it, and take the meta-gradient from the same pass.
 ///
 /// Rows are processed in fixed [`CHUNK_ROWS`] chunks, in parallel, with
 /// the chunk partials merged in chunk order — the result is bit-identical
@@ -161,40 +234,14 @@ pub fn env_loss_grad(
     grad_out: &mut [f64],
 ) -> f64 {
     assert!(!rows.is_empty(), "loss over an empty environment");
-    debug_assert_eq!(grad_out.len(), theta.len());
-    grad_out.fill(0.0);
-    let t0 = if crate::obs::enabled() {
-        Some(std::time::Instant::now())
-    } else {
-        None
-    };
-    let inv_n = 1.0 / rows.len() as f64;
-    let loss = if rows.len() <= CHUNK_ROWS {
-        let total = fused_chunk(theta, x, labels, rows, inv_n, grad_out, None);
-        finish_loss_grad(total, rows.len(), theta, reg, grad_out)
-    } else {
-        let partials: Vec<(f64, Vec<f64>)> = rows
-            .par_chunks(CHUNK_ROWS)
-            .map(|chunk| {
-                let mut g = vec![0.0; theta.len()];
-                let s = fused_chunk(theta, x, labels, chunk, inv_n, &mut g, None);
-                (s, g)
-            })
-            .collect();
-        let total = merge_partials(partials, grad_out);
-        finish_loss_grad(total, rows.len(), theta, reg, grad_out)
-    };
-    if let Some(t0) = t0 {
-        let k = kobs();
-        k.fused_ns.record_duration(t0.elapsed());
-        k.fused_chunks.add(rows.len().div_ceil(CHUNK_ROWS) as u64);
-    }
-    loss
+    fused::<true>(theta, x, labels, rows, reg, grad_out, None)
 }
 
 /// [`env_loss_grad`] that additionally writes `θᵀx` of each row into
 /// `logits_out` (position-aligned with `rows`), for reuse by
-/// [`hvp_from_logits`] at the same `θ` over the same rows.
+/// [`hvp_from_logits`] at the same `θ` over the same rows. No trainer
+/// calls it (their inner steps read no loss, so they take
+/// [`env_grad_cached`]); perfbench's kernel probe times it.
 ///
 /// # Panics
 ///
@@ -214,36 +261,35 @@ pub fn env_loss_grad_cached(
         rows.len(),
         "logit cache must match the row count"
     );
-    debug_assert_eq!(grad_out.len(), theta.len());
-    grad_out.fill(0.0);
-    let t0 = if crate::obs::enabled() {
-        Some(std::time::Instant::now())
-    } else {
-        None
-    };
-    let inv_n = 1.0 / rows.len() as f64;
-    let loss = if rows.len() <= CHUNK_ROWS {
-        let total = fused_chunk(theta, x, labels, rows, inv_n, grad_out, Some(logits_out));
-        finish_loss_grad(total, rows.len(), theta, reg, grad_out)
-    } else {
-        let partials: Vec<(f64, Vec<f64>)> = rows
-            .par_chunks(CHUNK_ROWS)
-            .zip(logits_out.par_chunks_mut(CHUNK_ROWS))
-            .map(|(chunk, lchunk)| {
-                let mut g = vec![0.0; theta.len()];
-                let s = fused_chunk(theta, x, labels, chunk, inv_n, &mut g, Some(lchunk));
-                (s, g)
-            })
-            .collect();
-        let total = merge_partials(partials, grad_out);
-        finish_loss_grad(total, rows.len(), theta, reg, grad_out)
-    };
-    if let Some(t0) = t0 {
-        let k = kobs();
-        k.fused_ns.record_duration(t0.elapsed());
-        k.fused_chunks.add(rows.len().div_ceil(CHUNK_ROWS) as u64);
-    }
-    loss
+    fused::<true>(theta, x, labels, rows, reg, grad_out, Some(logits_out))
+}
+
+/// [`env_loss_grad_cached`] without the loss: the gradient into
+/// `grad_out` (zeroed first) and `θᵀx` of each row into `logits_out`,
+/// from one pass that computes `σ(z)` and no softplus. The meta
+/// trainers' inner step `θ̄_m = θ − α∇R^m(θ)`; the outer HVP at the same
+/// `θ` reuses the logits. Same chunking, merge order and bits as
+/// [`env_loss_grad_cached`]'s gradient and logits.
+///
+/// # Panics
+///
+/// Panics when `rows` is empty or `logits_out.len() != rows.len()`.
+pub fn env_grad_cached(
+    theta: &[f64],
+    x: &MultiHotMatrix,
+    labels: &[u8],
+    rows: &[u32],
+    reg: f64,
+    grad_out: &mut [f64],
+    logits_out: &mut [f64],
+) {
+    assert!(!rows.is_empty(), "gradient over an empty environment");
+    assert_eq!(
+        logits_out.len(),
+        rows.len(),
+        "logit cache must match the row count"
+    );
+    fused::<false>(theta, x, labels, rows, reg, grad_out, Some(logits_out));
 }
 
 /// Ordered merge of chunk partials: chunk order, not completion order.
@@ -259,7 +305,9 @@ fn merge_partials(partials: Vec<(f64, Vec<f64>)>, out: &mut [f64]) -> f64 {
 }
 
 /// Parallel chunked environment loss (forward only), matching
-/// [`crate::lr::env_loss`] bit-for-bit on a single chunk.
+/// [`crate::lr::env_loss`] bit-for-bit on a single chunk. No trainer
+/// calls it (the meta trainers take the loss from [`env_loss_grad`]);
+/// perfbench's kernel probe times it.
 ///
 /// # Panics
 ///
@@ -298,7 +346,9 @@ pub fn env_loss(theta: &[f64], x: &MultiHotMatrix, labels: &[u8], rows: &[u32], 
 }
 
 /// Parallel chunked gradient (backward only), matching
-/// [`crate::lr::env_grad`] bit-for-bit on a single chunk.
+/// [`crate::lr::env_grad`] bit-for-bit on a single chunk: the fused pass
+/// without the loss sum or the logit cache. The single-level trainers'
+/// gradient step.
 ///
 /// # Panics
 ///
@@ -312,49 +362,7 @@ pub fn env_grad(
     out: &mut [f64],
 ) {
     assert!(!rows.is_empty(), "gradient over an empty environment");
-    debug_assert_eq!(out.len(), theta.len());
-    out.fill(0.0);
-    let inv_n = 1.0 / rows.len() as f64;
-    let grad_chunk = |chunk: &[u32], g: &mut [f64]| {
-        let mut blocks = chunk.chunks_exact(BLOCK_ROWS);
-        for block in &mut blocks {
-            let mut zs = [0.0; BLOCK_ROWS];
-            x.dot_block(block, theta, &mut zs);
-            for (&r, &z) in block.iter().zip(&zs) {
-                let r = r as usize;
-                let coef = (sigmoid(z) - labels[r] as f64) * inv_n;
-                x.scatter_add(r, coef, g);
-            }
-        }
-        for &r in blocks.remainder() {
-            let r = r as usize;
-            let z = x.dot_row(r, theta);
-            let coef = (sigmoid(z) - labels[r] as f64) * inv_n;
-            x.scatter_add(r, coef, g);
-        }
-    };
-    if rows.len() <= CHUNK_ROWS {
-        grad_chunk(rows, out);
-    } else {
-        let partials: Vec<Vec<f64>> = rows
-            .par_chunks(CHUNK_ROWS)
-            .map(|chunk| {
-                let mut g = vec![0.0; theta.len()];
-                grad_chunk(chunk, &mut g);
-                g
-            })
-            .collect();
-        for g in &partials {
-            for (o, &gi) in out.iter_mut().zip(g) {
-                *o += gi;
-            }
-        }
-    }
-    if reg > 0.0 {
-        for (o, &w) in out.iter_mut().zip(theta) {
-            *o += reg * w;
-        }
-    }
+    fused::<false>(theta, x, labels, rows, reg, out, None);
 }
 
 /// Hessian-vector product reusing cached logits: with `zᵢ = θᵀxᵢ` already
@@ -363,7 +371,7 @@ pub fn env_grad(
 /// matches bit-for-bit on a single chunk.
 ///
 /// `logits` must be position-aligned with `rows` (as produced by
-/// [`env_loss_grad_cached`] at the same `θ`).
+/// [`env_grad_cached`] or [`env_loss_grad_cached`] at the same `θ`).
 ///
 /// # Panics
 ///
@@ -614,10 +622,22 @@ mod tests {
                 let mut hvp = vec![0.0; 24];
                 hvp_from_logits(&logits, &x, &rows, 0.05, &v, &mut hvp);
                 let preds = predict_rows(&theta, &x, &rows);
-                (loss, grad, logits, hvp, preds)
+                let mut grad_only = (vec![0.0; 24], vec![0.0; rows.len()]);
+                env_grad_cached(
+                    &theta,
+                    &x,
+                    &y,
+                    &rows,
+                    0.05,
+                    &mut grad_only.0,
+                    &mut grad_only.1,
+                );
+                (loss, grad, logits, hvp, preds, grad_only)
             })
         };
         let serial = run(1);
+        // The loss-free pass leaves the fused pass's gradient and logits.
+        assert_eq!(serial.5, (serial.1.clone(), serial.2.clone()));
         for threads in [2, 3, 5] {
             let parallel = run(threads);
             assert_eq!(serial.0, parallel.0, "loss differs at {threads} threads");
@@ -625,6 +645,10 @@ mod tests {
             assert_eq!(serial.2, parallel.2, "logits differ at {threads} threads");
             assert_eq!(serial.3, parallel.3, "hvp differs at {threads} threads");
             assert_eq!(serial.4, parallel.4, "preds differ at {threads} threads");
+            assert_eq!(
+                serial.5, parallel.5,
+                "grad-only differs at {threads} threads"
+            );
         }
     }
 
@@ -688,6 +712,14 @@ mod tests {
         let (x, y, theta) = instance(10, 8, 1);
         let mut g = vec![0.0; 8];
         let _ = env_loss_grad(&theta, &x, &y, &[], 0.0, &mut g);
+    }
+
+    #[test]
+    #[should_panic(expected = "logit cache")]
+    fn grad_cached_rejects_misaligned_cache() {
+        let (x, y, theta) = instance(10, 8, 1);
+        let mut g = vec![0.0; 8];
+        env_grad_cached(&theta, &x, &y, &[0, 1], 0.0, &mut g, &mut [0.0; 3]);
     }
 
     #[test]

@@ -82,7 +82,8 @@ pub mod prelude {
     pub use crate::eval::{evaluate, evaluate_filtered, score_rows};
     pub use crate::explain::{explain_row, Explanation, TreeContribution};
     pub use crate::kernels::{
-        env_loss_grad, env_loss_grad_cached, hvp_from_logits, EnvScratch, ScratchPool, CHUNK_ROWS,
+        env_grad_cached, env_loss_grad, env_loss_grad_cached, hvp_from_logits, EnvScratch,
+        ScratchPool, CHUNK_ROWS,
     };
     pub use crate::lr::{env_grad, env_hvp, env_loss, sigmoid, LrModel};
     pub use crate::mrq::MetaReplayQueue;

@@ -270,4 +270,17 @@ mod tests {
             .unwrap_err();
         assert!(err.starts_with("journal line 2"), "{err}");
     }
+
+    #[test]
+    fn a_record_nested_a_million_deep_is_an_error_not_a_stack_overflow() {
+        let line = format!(
+            "{{\"v\":1,\"seq\":0,\"kind\":\"x\",\"fields\":{{\"a\":{}",
+            "[".repeat(1_000_000)
+        );
+        let err = Journal::parse(&line).unwrap_err();
+        assert!(
+            err.starts_with("journal line 1: nesting deeper than"),
+            "{err}"
+        );
+    }
 }

@@ -161,6 +161,8 @@ impl SloSpec {
 }
 
 /// Parse `5ms` / `250us` / `1.5s` / `800ns` / bare-nanosecond digits.
+/// `None` when the text does not parse, is negative, or names 2⁶⁴ ns
+/// (about 584 years) or more.
 #[must_use]
 pub fn parse_duration_ns(s: &str) -> Option<u64> {
     let s = s.trim();
@@ -179,7 +181,10 @@ pub fn parse_duration_ns(s: &str) -> Option<u64> {
     if !v.is_finite() || v < 0.0 {
         return None;
     }
-    Some((v * scale).round() as u64)
+    let ns = (v * scale).round();
+    // `u64::MAX as f64` is 2⁶⁴; `as u64` would saturate anything at or
+    // past it to u64::MAX.
+    (ns < u64::MAX as f64).then_some(ns as u64)
 }
 
 /// One observation window to evaluate objectives against.
@@ -340,6 +345,16 @@ mod tests {
         assert_eq!(parse_duration_ns("1234"), Some(1234));
         assert_eq!(parse_duration_ns("-1ms"), None);
         assert_eq!(parse_duration_ns("soon"), None);
+    }
+
+    #[test]
+    fn durations_past_u64_nanoseconds_are_rejected_not_saturated() {
+        for huge in ["1e11s", "1e300s", "2e19"] {
+            assert_eq!(parse_duration_ns(huge), None, "{huge}");
+        }
+        assert_eq!(parse_duration_ns("5ms"), Some(5_000_000));
+        let err = SloSpec::parse("p99=1e11s").unwrap_err();
+        assert!(err.contains("1e11s"), "{err}");
     }
 
     #[test]

@@ -176,6 +176,51 @@ mod tests {
         );
     }
 
+    /// FNV-1a of a head's weights, each as its little-endian bit pattern.
+    fn weights_digest(weights: &[f64]) -> u64 {
+        let bytes: Vec<u8> = weights
+            .iter()
+            .flat_map(|w| w.to_bits().to_le_bytes())
+            .collect();
+        crate::hash::fnv1a(&bytes)
+    }
+
+    /// LightMIRM (MRQ 5, γ 0.9) and complete meta-IRM heads trained at the
+    /// CLI's head config on the default extractor's design matrix — 512
+    /// columns, 64 nonzeros per row, every province an environment — pinned
+    /// bit for bit. A reordered sum anywhere in the kernels or the meta
+    /// step moves them; at both rayon widths they must not.
+    #[test]
+    fn meta_trained_heads_are_pinned() {
+        use crate::trainers::{LightMirmTrainer, MetaIrmTrainer, TrainConfig};
+        let frame = small_world();
+        let ex = FeatureExtractor::fit(&frame, &FeatureExtractorConfig::default()).unwrap();
+        let names = loansim::ProvinceCatalog::standard().names();
+        let data = ex.to_env_dataset(&frame, names, None).unwrap();
+        assert_eq!(data.n_cols(), 512);
+        let head = |epochs| TrainConfig {
+            epochs,
+            inner_lr: 0.1,
+            outer_lr: 0.3,
+            lambda: 0.5,
+            reg: 1e-4,
+            momentum: 0.0,
+            seed: 7,
+        };
+        let light = LightMirmTrainer::with_mrq(head(20), 5, 0.9).fit(&data, None);
+        let meta = MetaIrmTrainer::new(head(4)).fit(&data, None);
+        assert_eq!(
+            weights_digest(&light.model.global().weights),
+            0x9022_ab44_f91d_02d2,
+            "the LightMIRM head's bits moved"
+        );
+        assert_eq!(
+            weights_digest(&meta.model.global().weights),
+            0x4d39_c2a7_535e_2f37,
+            "the meta-IRM head's bits moved"
+        );
+    }
+
     #[test]
     fn extractor_fits_and_transforms() {
         let frame = small_world();

@@ -17,10 +17,14 @@
 //! meta-IRM's `2M²`.
 //!
 //! Execution: each phase runs env-parallel on the fused kernels of
-//! [`crate::kernels`] (lines 6–7 are one fused pass that also caches the
-//! logits the line-13 HVP reuses), all `s_m` are drawn up front on the
-//! serial RNG stream, and per-environment contributions merge in env
-//! order — training is bit-identical for any thread count.
+//! [`crate::kernels`]. Lines 6–7 are one gradient pass that also caches
+//! the logits the line-13 HVP reuses (no trainer reads the inner loss,
+//! so the pass computes none). Line 9 is one fused pass that yields the
+//! replayed loss `R^{s_m}(θ̄_m)` together with its gradient, so line 13's
+//! backward is only the HVP chain term and the ordered merge. All `s_m`
+//! are drawn up front on the serial RNG stream, and per-environment
+//! contributions merge in env order — training is bit-identical for any
+//! thread count.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -135,10 +139,11 @@ impl LightMirmTrainer {
             };
 
             // ---- inner step: lines 6–7, env-parallel --------------------
-            // One fused pass per environment yields R^m(θ) (line 6) and
-            // ∇R^m(θ) (line 7) while caching the logits the outer HVP at
-            // the same θ will reuse. The paper's accounting still charges
-            // one forward and one backward per environment.
+            // One pass per environment yields ∇R^m(θ) (line 7) while
+            // caching the logits the outer HVP at the same θ will reuse.
+            // Nothing reads R^m(θ) (line 6), so the pass skips the loss
+            // sum; the paper's accounting still charges one forward and
+            // one backward per environment.
             timer.time(Step::InnerOptimization, || {
                 let weights = &model.weights;
                 let mobs = mobs.as_ref();
@@ -156,7 +161,7 @@ impl LightMirmTrainer {
                             logits,
                             ..
                         } = slot;
-                        let _inner_loss = kernels::env_loss_grad_cached(
+                        kernels::env_grad_cached(
                             weights,
                             &data.x,
                             &data.labels,
@@ -183,17 +188,20 @@ impl LightMirmTrainer {
             }
 
             // ---- replay: lines 9–10, env-parallel -----------------------
+            // One fused pass per environment yields R^{s_m}(θ̄_m) for the
+            // queue and leaves ∇R^{s_m}(θ̄_m) in `u` for line 13.
             let sampled_losses: Vec<f64> = timer.time(Step::MetaLoss, || {
-                pool.slots()
-                    .par_iter()
+                pool.slots_mut()
+                    .par_iter_mut()
                     .enumerate()
                     .map(|(i, slot)| {
-                        kernels::env_loss(
+                        kernels::env_loss_grad(
                             &slot.theta_bar,
                             &data.x,
                             &data.labels,
                             data.env_rows(sampled[i]),
                             self.config.reg,
+                            &mut slot.u,
                         )
                     })
                     .collect()
@@ -224,21 +232,7 @@ impl LightMirmTrainer {
                     .par_iter_mut()
                     .enumerate()
                     .for_each(|(i, slot)| {
-                        let EnvScratch {
-                            theta_bar,
-                            u,
-                            hvp,
-                            logits,
-                            ..
-                        } = slot;
-                        kernels::env_grad(
-                            theta_bar,
-                            &data.x,
-                            &data.labels,
-                            data.env_rows(sampled[i]),
-                            self.config.reg,
-                            u,
-                        );
+                        let EnvScratch { u, hvp, logits, .. } = slot;
                         // Chain through the inner step: u − α H_m(θ) u.
                         // The Hessian is at θ over env m's rows — exactly
                         // where the inner pass cached the logits.

@@ -13,6 +13,16 @@
 //!    is `I − αH_m(θ)`, applied with one Hessian-vector product per
 //!    environment.
 //!
+//! Execution: each phase runs env-parallel on the fused kernels of
+//! [`crate::kernels`]. Lines 6–7 are one gradient pass per environment
+//! that also caches the logits the line-10 HVP reuses (nothing reads the
+//! inner loss `R^m(θ)`, so the pass computes none). Line 8 is one fused
+//! pass per `(θ̄_m, e)` that yields `R^e(θ̄_m)` together with its
+//! gradient, so the outer step's backward is only the HVP chain term and
+//! the ordered merge. Subsets are drawn up front on the serial RNG
+//! stream, and per-environment contributions merge in env order —
+//! training is bit-identical for any thread count.
+//!
 //! Deviation noted in DESIGN.md §5: meta-losses are averaged (not summed)
 //! over their environments so the outer learning rate is comparable
 //! across `M`, `S`, and LightMIRM — the optimizer geometry is unchanged.
@@ -137,9 +147,10 @@ impl MetaIrmTrainer {
                 .collect();
 
             // ---- inner loop: lines 5–7, env-parallel -------------------
-            // One fused pass per environment computes R^m(θ) (line 6, one
-            // forward op) together with ∇R^m(θ) (line 7, one backward op),
-            // caching the logits the line-10 HVP at the same θ reuses.
+            // One pass per environment computes ∇R^m(θ) (line 7), caching
+            // the logits the line-10 HVP at the same θ reuses. Nothing
+            // reads R^m(θ) (line 6), so the pass skips the loss sum; it is
+            // still charged one forward and one backward op.
             timer.time(Step::InnerOptimization, || {
                 let weights = &model.weights;
                 let mobs = mobs.as_ref();
@@ -157,7 +168,7 @@ impl MetaIrmTrainer {
                             logits,
                             ..
                         } = slot;
-                        let _inner_loss = kernels::env_loss_grad_cached(
+                        kernels::env_grad_cached(
                             weights,
                             &data.x,
                             &data.labels,
@@ -177,24 +188,37 @@ impl MetaIrmTrainer {
             ops.add_backward(envs.len() as u64);
 
             // ---- meta-losses: line 8, env-parallel ----------------------
+            // One fused pass per (θ̄_m, e) yields R^e(θ̄_m) and ∇R^e(θ̄_m);
+            // the losses average into R_meta(θ̄_m) and the gradients into
+            // u = ∇_{θ̄} R_meta(θ̄_m), both in env order.
             let meta_losses: Vec<f64> = timer.time(Step::MetaLoss, || {
-                pool.slots()
-                    .par_iter()
+                pool.slots_mut()
+                    .par_iter_mut()
                     .enumerate()
                     .map(|(i, slot)| {
+                        let EnvScratch {
+                            theta_bar, grad, u, ..
+                        } = slot;
+                        u.fill(0.0);
+                        let k = others[i].len().max(1) as f64;
                         let sum: f64 = others[i]
                             .iter()
                             .map(|&e| {
-                                kernels::env_loss(
-                                    &slot.theta_bar,
+                                let loss = kernels::env_loss_grad(
+                                    theta_bar,
                                     &data.x,
                                     &data.labels,
                                     data.env_rows(e),
                                     self.config.reg,
-                                )
+                                    grad,
+                                );
+                                for (ui, &g) in u.iter_mut().zip(grad.iter()) {
+                                    *ui += g / k;
+                                }
+                                loss
                             })
                             .sum();
-                        sum / others[i].len().max(1) as f64
+                        sum / k
                     })
                     .collect()
             });
@@ -206,36 +230,15 @@ impl MetaIrmTrainer {
             }
             let coefs = sigma_coefficients(&meta_losses, self.config.lambda);
             let outer_t0 = mobs.as_ref().map(|_| std::time::Instant::now());
-            timer.time(Step::Backward, || {
-                pool.slots_mut()
-                    .par_iter_mut()
-                    .enumerate()
-                    .for_each(|(i, slot)| {
-                        let EnvScratch {
-                            theta_bar,
-                            grad,
-                            u,
-                            hvp,
-                            logits,
-                        } = slot;
-                        // u = ∇_{θ̄} R_meta(θ̄_m): mean of env gradients at θ̄_m.
-                        u.fill(0.0);
-                        let k = others[i].len().max(1) as f64;
-                        for &e in &others[i] {
-                            kernels::env_grad(
-                                theta_bar,
-                                &data.x,
-                                &data.labels,
-                                data.env_rows(e),
-                                self.config.reg,
-                                grad,
-                            );
-                            for (ui, &g) in u.iter_mut().zip(grad.iter()) {
-                                *ui += g / k;
-                            }
-                        }
-                        // Chain through the inner step: Jᵀu = u − α H_m(θ) u.
-                        if !self.first_order {
+            // Chain through the inner step: Jᵀu = u − α H_m(θ) u. The
+            // first-order ablation keeps u as it is and has no row work here.
+            if !self.first_order {
+                timer.time(Step::Backward, || {
+                    pool.slots_mut()
+                        .par_iter_mut()
+                        .enumerate()
+                        .for_each(|(i, slot)| {
+                            let EnvScratch { u, hvp, logits, .. } = slot;
                             kernels::hvp_from_logits(
                                 logits,
                                 &data.x,
@@ -247,13 +250,11 @@ impl MetaIrmTrainer {
                             for (ui, &h) in u.iter_mut().zip(hvp.iter()) {
                                 *ui -= self.config.inner_lr * h;
                             }
-                        }
-                    });
-            });
-            ops.add_backward(others.iter().map(|o| o.len() as u64).sum());
-            if !self.first_order {
+                        });
+                });
                 ops.add_hvp(envs.len() as u64);
             }
+            ops.add_backward(others.iter().map(|o| o.len() as u64).sum());
             // Ordered merge: environments accumulate in env order, so the
             // outer gradient is independent of the parallel schedule.
             outer.fill(0.0);
@@ -335,6 +336,79 @@ mod tests {
         let inv = (model.weights[0] - model.weights[1]).abs();
         let spur = (model.weights[2] - model.weights[3]).abs();
         spur / inv.max(1e-9)
+    }
+
+    #[test]
+    fn matches_serial_algorithm_1_reference() {
+        // Algorithm 1 (complete meta-IRM) as a plain serial loop over the
+        // `lr` oracle kernels, for the exact second-order trainer and the
+        // first-order ablation. Exact equality pins every reduction order.
+        let data = irm_toy(&[60, 45, 30, 50]);
+        let config = TrainConfig {
+            reg: 1e-3,
+            ..cfg(8)
+        };
+        let (x, y) = (&data.x, &data.labels);
+        let (alpha, reg) = (config.inner_lr, config.reg);
+        let envs = data.active_envs();
+        let n = data.n_cols();
+        for first_order in [false, true] {
+            let mut theta = vec![0.0; n];
+            let mut grad = vec![0.0; n];
+            let mut hvp = vec![0.0; n];
+            for _ in 0..config.epochs {
+                let mut metas = Vec::with_capacity(envs.len());
+                let mut us = Vec::with_capacity(envs.len());
+                for &m in &envs {
+                    env_grad(&theta, x, y, data.env_rows(m), reg, &mut grad);
+                    let bar: Vec<f64> = theta
+                        .iter()
+                        .zip(&grad)
+                        .map(|(t, g)| t - alpha * g)
+                        .collect();
+                    let others: Vec<usize> = envs.iter().copied().filter(|&e| e != m).collect();
+                    let k = others.len() as f64;
+                    let mut sum = 0.0;
+                    let mut u = vec![0.0; n];
+                    for &e in &others {
+                        sum += env_loss(&bar, x, y, data.env_rows(e), reg);
+                        env_grad(&bar, x, y, data.env_rows(e), reg, &mut grad);
+                        for (ui, &g) in u.iter_mut().zip(&grad) {
+                            *ui += g / k;
+                        }
+                    }
+                    if !first_order {
+                        crate::lr::env_hvp(&theta, x, y, data.env_rows(m), reg, &u, &mut hvp);
+                        for (ui, &h) in u.iter_mut().zip(&hvp) {
+                            *ui -= alpha * h;
+                        }
+                    }
+                    metas.push(sum / k);
+                    us.push(u);
+                }
+                let coefs = crate::trainers::sigma_coefficients(&metas, config.lambda);
+                let mut outer = vec![0.0; n];
+                for (c, u) in coefs.iter().zip(&us) {
+                    for (o, &ui) in outer.iter_mut().zip(u) {
+                        *o += c * ui;
+                    }
+                }
+                for (t, &o) in theta.iter_mut().zip(&outer) {
+                    *t -= config.outer_lr * o;
+                }
+            }
+            let trainer = MetaIrmTrainer {
+                first_order,
+                ..MetaIrmTrainer::new(config.clone())
+            };
+            let fitted = trainer.fit(&data, None);
+            assert!(theta.iter().any(|&w| w != 0.0), "training must move θ");
+            assert_eq!(
+                fitted.model.global().weights,
+                theta,
+                "first_order = {first_order}"
+            );
+        }
     }
 
     #[test]

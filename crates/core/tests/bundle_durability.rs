@@ -159,6 +159,22 @@ fn legacy_bare_json_bundles_still_load() {
 }
 
 #[test]
+fn a_bare_json_bundle_nested_past_the_parser_limit_is_malformed_not_a_stack_overflow() {
+    // A file without the envelope magic goes straight to the JSON parser;
+    // 100,000 nested arrays used to overflow its stack and abort.
+    let path = Scratch::new("deep");
+    let hostile = format!("{{\"version\":{}", "[".repeat(100_000));
+    std::fs::write(&path.0, hostile).expect("write hostile");
+    match ModelBundle::load_from_path(&path.0) {
+        Err(BundleError::Malformed(e)) => {
+            assert!(e.message().contains("nesting deeper than"), "{e}");
+            assert!(e.message().contains("at byte"), "{e}");
+        }
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+}
+
+#[test]
 fn missing_files_surface_io_errors() {
     let path = Scratch::new("missing");
     assert!(matches!(

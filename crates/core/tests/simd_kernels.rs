@@ -41,9 +41,19 @@ fn direction(n: usize) -> Vec<f64> {
     (0..n).map(|i| 0.21 * i as f64 - 0.9).collect()
 }
 
-/// The seven kernel outputs, in one tuple for comparison: fused loss,
-/// fused gradient, cached logits, HVP, predictions, gradient, loss.
-type KernelOutputs = (f64, Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>, f64);
+/// The kernel outputs, in one tuple for comparison: fused loss, fused
+/// gradient, cached logits, HVP, predictions, gradient, loss, and the
+/// loss-free pass's gradient and logits.
+type KernelOutputs = (
+    f64,
+    Vec<f64>,
+    Vec<f64>,
+    Vec<f64>,
+    Vec<f64>,
+    Vec<f64>,
+    f64,
+    (Vec<f64>, Vec<f64>),
+);
 
 /// Every row-block kernel.
 fn run_blocked(
@@ -65,10 +75,13 @@ fn run_blocked(
     let mut g2 = vec![0.0; n];
     kernels::env_grad(theta, x, y, rows, reg, &mut g2);
     let l2 = kernels::env_loss(theta, x, y, rows, reg);
-    (loss, grad, logits, hvp, preds, g2, l2)
+    let mut g3 = vec![0.0; n];
+    let mut logits3 = vec![0.0; rows.len()];
+    kernels::env_grad_cached(theta, x, y, rows, reg, &mut g3, &mut logits3);
+    (loss, grad, logits, hvp, preds, g2, l2, (g3, logits3))
 }
 
-/// The same seven outputs from the serial `lr` kernels and per-row dots.
+/// The same outputs from the serial `lr` kernels and per-row dots.
 fn run_oracle(
     x: &MultiHotMatrix,
     y: &[u8],
@@ -84,7 +97,17 @@ fn run_oracle(
     let mut hvp = vec![0.0; n];
     lr::env_hvp(theta, x, y, rows, reg, &direction(n), &mut hvp);
     let preds = logits.iter().map(|&z| lr::sigmoid(z)).collect();
-    (loss, grad.clone(), logits, hvp, preds, grad, loss)
+    let grad_only = (grad.clone(), logits.clone());
+    (
+        loss,
+        grad.clone(),
+        logits,
+        hvp,
+        preds,
+        grad,
+        loss,
+        grad_only,
+    )
 }
 
 proptest! {

@@ -162,7 +162,12 @@ fn table3(md: &mut String, cfg: &ExpConfig) {
         "\nWhole-epoch speedup meta-IRM → LightMIRM: **{:.1}×** (paper ≈ 12×);\n\
          meta-loss step speedup: **{:.1}×** (paper ≈ 30×). Exact §III-F op\n\
          counts per epoch (asserted in tests): meta-IRM {}, meta-IRM(5) {},\n\
-         LightMIRM {}.\n",
+         LightMIRM {}.\n\n\
+         Our step rows split the work differently from the paper's (DESIGN.md\n\
+         §5b): each meta-loss and its gradient come from one fused pass, timed\n\
+         under \"calculating the meta-losses\", so \"backward propagation\" is\n\
+         the Hessian-vector chain term alone. The paper's `loss.backward()`\n\
+         puts that gradient in its backward row.\n",
         data["epoch_speedup"].as_f64().expect("speedup"),
         data["meta_loss_speedup"].as_f64().expect("speedup"),
         measured[0]["ops_per_epoch"],
@@ -388,7 +393,11 @@ fn fig7(md: &mut String, cfg: &ExpConfig) {
         md,
         "Paper: the meta-loss calculation dominates complete meta-IRM's epoch\n\
          and shrinks to a sliver under LightMIRM. Measured meta-loss share:\n\
-         meta-IRM **{:.1} %**, meta-IRM(5) **{:.1} %**, LightMIRM **{:.1} %**.\n",
+         meta-IRM **{:.1} %**, meta-IRM(5) **{:.1} %**, LightMIRM **{:.1} %**.\n\
+         Our meta-loss row also carries the meta-gradient, which the paper\n\
+         times under backward propagation (Table III note), so each share here\n\
+         is larger than the paper's would be for the same work; the ordering\n\
+         across methods is what carries over.\n",
         share(0, 3),
         share(1, 3),
         share(2, 3)
